@@ -42,6 +42,20 @@ class BusGroup:
         return {pos: (value >> k) & 1
                 for k, pos in enumerate(self.positions)}
 
+    def encode_batch(self, values: Sequence[int]) -> np.ndarray:
+        """Vectorized :meth:`encode`: an ``(N, width)`` uint8 array whose
+        column ``k`` is bit ``k`` of each value, i.e. the signal at
+        ``positions[k]``."""
+        wide = self.width > 62  # beyond int64 shifts: Python ints
+        values = np.asarray(values, dtype=object if wide else np.int64)
+        if values.size and (values.min() < 0
+                            or values.max() >= (1 << self.width)):
+            raise ValueError(f"values out of range for width {self.width}")
+        shifts = np.arange(self.width)
+        if wide:
+            shifts = shifts.astype(object)
+        return ((values.reshape(-1, 1) >> shifts) & 1).astype(np.uint8)
+
     def decode(self, values: Sequence[int]) -> int:
         """Integer encoded by a full assignment (indexed by position)."""
         out = 0

@@ -184,9 +184,7 @@ def _test_constant(oracle: Oracle, bus: BusGroup, output: int,
 
     def probe(values: Sequence[int]) -> np.ndarray:
         block = np.tile(context, (len(values), 1))
-        for row, value in enumerate(values):
-            for pos, bit in bus.encode(value).items():
-                block[row, pos] = bit
+        block[:, list(bus.positions)] = bus.encode_batch(values)
         return oracle.query(block)[:, output]
 
     if bus.width <= 16:
@@ -266,13 +264,10 @@ def _verify_constant(oracle: Oracle, bus: BusGroup, output: int,
     """Fresh-sample verification, including boundary probes b-1, b, b+1."""
     samples = random_patterns(num_samples, oracle.num_pis, rng,
                               biases=(0.5, 0.2, 0.8), cube=cube)
-    boundary = [constant - 1, constant, constant + 1]
-    row = 0
-    for value in boundary:
-        if 0 <= value < (1 << bus.width) and row < samples.shape[0]:
-            for pos, bit in bus.encode(value).items():
-                samples[row, pos] = bit
-            row += 1
+    boundary = [value for value in (constant - 1, constant, constant + 1)
+                if 0 <= value < (1 << bus.width)][:samples.shape[0]]
+    samples[:len(boundary), list(bus.positions)] = \
+        bus.encode_batch(boundary)
     out = oracle.query(samples)[:, output]
     n_bus = bus.decode_batch(samples)
     expect = _PRED_FN[predicate](n_bus, constant).astype(np.uint8)

@@ -27,7 +27,7 @@ class Cube:
     (1, 0, None)
     """
 
-    __slots__ = ("_lits", "_hash", "_arrays")
+    __slots__ = ("_lits", "_hash", "_arrays", "_masks")
 
     def __init__(self, lits: Optional[Dict[int, int]] = None):
         self._lits: Dict[int, int] = dict(lits) if lits else {}
@@ -38,6 +38,7 @@ class Cube:
                 raise ValueError(f"phase must be 0 or 1, got {phase}")
         self._hash: Optional[int] = None
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._masks: Optional[Tuple[int, int]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -64,6 +65,16 @@ class Cube:
         if variables is None:
             variables = range(len(vals))
         return cls({v: int(bool(b)) for v, b in zip(variables, vals)})
+
+    @classmethod
+    def from_masks(cls, care: int, value: int) -> "Cube":
+        """Inverse of :meth:`masks`."""
+        lits: Dict[int, int] = {}
+        while care:
+            low = care & -care
+            lits[low.bit_length() - 1] = 1 if value & low else 0
+            care ^= low
+        return cls(lits)
 
     # -- basic queries -----------------------------------------------------
 
@@ -197,6 +208,25 @@ class Cube:
                 np.asarray([self._lits[v] for v in vars_sorted],
                            dtype=np.uint8))
         return self._arrays
+
+    def masks(self) -> Tuple[int, int]:
+        """Cached ``(care, value)`` bitmasks: bit ``v`` of ``care`` is set
+        iff variable ``v`` is constrained, and then bit ``v`` of ``value``
+        is its phase (``value`` is always a subset of ``care``).
+
+        Python ints have arbitrary width, so the masks cover any universe;
+        the cover-containment recursion in :mod:`repro.logic.sop` runs on
+        them without building cubes.
+        """
+        if self._masks is None:
+            care = value = 0
+            for var, phase in self._lits.items():
+                bit = 1 << int(var)
+                care |= bit
+                if phase:
+                    value |= bit
+            self._masks = (care, value)
+        return self._masks
 
     def evaluate(self, patterns: np.ndarray) -> np.ndarray:
         """Vectorized satisfaction test (scalar reference path).

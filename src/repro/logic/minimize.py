@@ -230,22 +230,23 @@ def _reduce(cover: Sop, onset: Sop) -> Sop:
     cubes = list(cover.cubes)
     for i, cube in enumerate(cubes):
         rest = Sop(cubes[:i] + cubes[i + 1:] + out, cover.num_vars)
-        reduced = cube
+        care, value = cube.masks()
         for var in range(cover.num_vars):
-            if var in reduced:
+            bit = 1 << var
+            if care & bit:
                 continue
             for phase in (0, 1):
-                candidate = reduced.with_literal(var, phase)
-                # Keep the shrink only if the dropped half is still covered
-                # by other cubes or lies outside the onset entirely.
-                dropped = reduced.with_literal(var, 1 - phase)
-                if not onset.intersects_cube(dropped):
-                    reduced = candidate
+                # Keep the shrink to var=phase only if the dropped half
+                # (var=1-phase) is still covered by other cubes or lies
+                # outside the onset entirely.
+                dropped = value if phase else value | bit
+                if not onset.intersects(care | bit, dropped) \
+                        or rest.covers(care | bit, dropped):
+                    care |= bit
+                    if phase:
+                        value |= bit
                     break
-                if rest.covers_cube(dropped):
-                    reduced = candidate
-                    break
-        out.append(reduced)
+        out.append(Cube.from_masks(care, value))
     return Sop(out, cover.num_vars).absorb()
 
 

@@ -9,6 +9,7 @@ distance-1 merging.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -17,15 +18,21 @@ from repro.logic.cube import Cube
 
 
 class Sop:
-    """A disjunction of cubes over ``num_vars`` variables."""
+    """A disjunction of cubes over ``num_vars`` variables.
 
-    __slots__ = ("cubes", "num_vars")
+    A cover is immutable once built: ``masks`` holds each cube's
+    ``(care, value)`` bitmasks (:meth:`Cube.masks`), which the exact
+    containment and tautology checks run on.
+    """
+
+    __slots__ = ("cubes", "num_vars", "masks")
 
     def __init__(self, cubes: Iterable[Cube], num_vars: int):
         self.cubes: List[Cube] = list(cubes)
         self.num_vars = int(num_vars)
-        for cube in self.cubes:
-            if cube.variables and cube.variables[-1] >= self.num_vars:
+        self.masks: List[Tuple[int, int]] = [c.masks() for c in self.cubes]
+        for cube, (care, _) in zip(self.cubes, self.masks):
+            if care >> self.num_vars:
                 raise ValueError(
                     f"cube {cube!r} references variable outside universe "
                     f"of size {self.num_vars}")
@@ -71,8 +78,8 @@ class Sop:
         return not self.cubes
 
     def is_one(self) -> bool:
-        """Tautology check (exact, via unate recursion)."""
-        return _tautology(self.cubes, self.num_vars)
+        """Tautology check (exact, via unate recursion on bitmasks)."""
+        return _tautology(self.masks)
 
     def literal_count(self) -> int:
         return sum(len(c) for c in self.cubes)
@@ -160,36 +167,55 @@ class Sop:
 
     def covers_cube(self, cube: Cube) -> bool:
         """Exact test: does this cover contain every minterm of ``cube``?"""
-        cofactored = self.cubes
-        for var, phase in cube.literals():
-            nxt = []
-            for c in cofactored:
-                cf = c.cofactor(var, phase)
-                if cf is not None:
-                    nxt.append(cf)
-            cofactored = nxt
-        return _tautology(cofactored, self.num_vars)
+        return self.covers(*cube.masks())
+
+    def covers(self, q_care: int, q_value: int) -> bool:
+        """:meth:`covers_cube` for the cube with masks ``(q_care,
+        q_value)``: cofactor every cube of the cover against it (cubes in
+        conflict drop out, the rest lose its variables) and ask whether
+        what is left is a tautology."""
+        free = ~q_care
+        return _tautology([(care & free, value & free)
+                           for care, value in self.masks
+                           if not care & q_care & (value ^ q_value)])
 
     def intersects_cube(self, cube: Cube) -> bool:
         """True iff some cube of the cover shares a minterm with ``cube``."""
-        return any(c.intersects(cube) for c in self.cubes)
+        return self.intersects(*cube.masks())
+
+    def intersects(self, q_care: int, q_value: int) -> bool:
+        """:meth:`intersects_cube` for the cube with masks ``(q_care,
+        q_value)``."""
+        return any(not care & q_care & (value ^ q_value)
+                   for care, value in self.masks)
 
     # -- light-weight minimization -------------------------------------------
 
     def absorb(self) -> "Sop":
         """Drop duplicate cubes and cubes contained in another single cube."""
         kept: List[Cube] = []
-        # Larger cubes (fewer literals) first so they absorb smaller ones.
+        kept_masks: List[Tuple[int, int]] = []
+        smaller = 0  # kept[:smaller] have fewer literals than ``cube``
+        # Larger cubes (fewer literals) first so they absorb smaller ones;
+        # a distinct cube with as many literals never contains another.
         for cube in sorted(set(self.cubes), key=len):
-            if not any(k.contains(cube) for k in kept):
+            while smaller < len(kept) and len(kept[smaller]) < len(cube):
+                smaller += 1
+            care, value = cube.masks()
+            if not any(not k_care & (~care | (value ^ k_value))
+                       for k_care, k_value
+                       in itertools.islice(kept_masks, smaller)):
                 kept.append(cube)
+                kept_masks.append((care, value))
         return Sop(kept, self.num_vars)
 
     def merge_siblings(self) -> "Sop":
         """Iteratively merge distance-1 same-support cube pairs.
 
         FBDT leaves are disjoint minterm-like cubes; sibling merging is the
-        cheap first-pass reduction before espresso-lite / synthesis.
+        cheap first-pass reduction before espresso-lite / synthesis.  Each
+        cube merges with the first unused later cube of its support group
+        whose value differs in one variable, found by value lookup.
         """
         cubes = list(self.absorb().cubes)
         changed = True
@@ -197,28 +223,31 @@ class Sop:
             changed = False
             by_support = {}
             for cube in cubes:
-                by_support.setdefault(cube.variables, []).append(cube)
+                by_support.setdefault(cube.masks()[0], []).append(cube)
             merged: List[Cube] = []
-            used: Set[int] = set()
-            for group in by_support.values():
-                for i, a in enumerate(group):
-                    if id(a) in used:
+            for care, group in by_support.items():
+                # Cubes are distinct after absorb(), so values are too.
+                position = {cube.masks()[1]: i for i, cube in enumerate(group)}
+                used: Set[int] = set()
+                for i, cube in enumerate(group):
+                    if i in used:
                         continue
-                    partner = None
-                    for b in group[i + 1:]:
-                        if id(b) in used:
-                            continue
-                        m = a.merge(b)
-                        if m is not None:
-                            partner = (b, m)
-                            break
-                    if partner is not None:
-                        used.add(id(a))
-                        used.add(id(partner[0]))
-                        merged.append(partner[1])
+                    value = cube.masks()[1]
+                    partner, conflict = len(group), 0
+                    rest = care
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        j = position.get(value ^ bit, -1)
+                        if i < j < partner and j not in used:
+                            partner, conflict = j, bit
+                    if conflict:
+                        used.update((i, partner))
+                        merged.append(Cube.from_masks(care ^ conflict,
+                                                      value & ~conflict))
                         changed = True
                     else:
-                        merged.append(a)
+                        merged.append(cube)
             cubes = Sop(merged, self.num_vars).absorb().cubes
         return Sop(cubes, self.num_vars)
 
@@ -238,37 +267,59 @@ class Sop:
 # -- cover recursion helpers --------------------------------------------------
 
 
-def _tautology(cubes: List[Cube], num_vars: int) -> bool:
-    """Unate-recursion tautology check on a cube list."""
-    if any(c.is_empty() for c in cubes):
-        return True
-    if not cubes:
-        return False
-    # Pick the most frequently constrained variable as the split variable.
-    counts = {}
-    for cube in cubes:
-        for var in cube.variables:
-            counts[var] = counts.get(var, 0) + 1
-    # Unate shortcut: if some variable appears in a single phase only, the
-    # cover is a tautology iff the cover without cubes using it is.
-    phases = {}
-    for cube in cubes:
-        for var, phase in cube.literals():
-            phases.setdefault(var, set()).add(phase)
-    for var, seen in phases.items():
-        if len(seen) == 1:
-            reduced = [c for c in cubes if var not in c]
-            return _tautology(reduced, num_vars)
-    split = max(counts, key=lambda v: counts[v])
-    for phase in (0, 1):
-        branch = []
-        for cube in cubes:
-            cf = cube.cofactor(split, phase)
-            if cf is not None:
-                branch.append(cf)
-        if not _tautology(branch, num_vars):
+def _tautology(cubes: List[Tuple[int, int]]) -> bool:
+    """Unate-recursion tautology check on ``(care, value)`` cube masks.
+
+    Every variable that occurs in one phase only is unate; the cover is a
+    tautology iff the cubes free of all unate variables are, so they are
+    dropped in one step.  A cover with only binate variables is split on
+    the one constrained by the most cubes.
+    """
+    while True:
+        if not cubes:
+            return False
+        pos = neg = 0
+        for care, value in cubes:
+            if not care:
+                return True
+            pos |= value
+            neg |= care ^ value
+        unate = pos ^ neg
+        if not unate:
+            break
+        cubes = [cube for cube in cubes if not cube[0] & unate]
+    bit = _most_constrained(cubes, pos)
+    keep = ~bit
+    for phase in (0, bit):
+        if not _tautology([(care & keep, value & keep)
+                           for care, value in cubes
+                           if not care & bit or value & bit == phase]):
             return False
     return True
+
+
+def _most_constrained(cubes: List[Tuple[int, int]], candidates: int) -> int:
+    """The lowest bit of ``candidates`` set in the most cube care masks.
+
+    Per-variable counts are kept bit-sliced: ``planes[k]`` holds bit ``k``
+    of every variable's count, so one pass of ripple-carry adds counts all
+    variables at once and the maximum is read off from the top plane down.
+    """
+    planes: List[int] = []
+    for care, _ in cubes:
+        carry = care
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    for plane in reversed(planes):
+        if candidates & plane:
+            candidates &= plane
+    return candidates & -candidates
 
 
 def _complement(cubes: List[Cube], variables: List[int]) -> List[Cube]:

@@ -29,6 +29,7 @@ outputs racing in other workers.
 
 from __future__ import annotations
 
+import array
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -159,7 +160,9 @@ class SampleBank:
         """Store answered rows (duplicates are skipped, oldest evicted).
 
         Batches larger than the ring only keep their tail — the head
-        would be immediately evicted anyway.
+        would be immediately evicted anyway.  Slots are assigned row by
+        row; the arrays are then written once per contiguous run of new
+        slots.
         """
         if self._frozen:
             return
@@ -169,29 +172,60 @@ class SampleBank:
             patterns = patterns[n - self.max_rows:]
             outputs = outputs[n - self.max_rows:]
             n = self.max_rows
+        start = self._write
+        rows = array.array("q")  # batch rows given new slots, compactly
+        slot = start
         for row in range(n):
             key = patterns[row].tobytes()
             if key in self._index:
                 continue
-            slot = self._write
             old = self._keys[slot]
             if old is not None:
                 del self._index[old]
                 self.stats.rows_evicted += 1
             else:
                 self._size += 1
-            self._pat[slot] = patterns[row]
-            word, bit = slot >> 6, np.uint64(1 << (slot & 63))
-            self._pat_words[:, word] &= ~bit
-            self._pat_words[patterns[row] != 0, word] |= bit
-            self._out[slot] = outputs[row]
             self._keys[slot] = key
             self._index[key] = slot
-            self._valid[slot] = True
-            self._write = (slot + 1) % self.max_rows
-            self.stats.rows_recorded += 1
+            rows.append(row)
+            slot = (slot + 1) % self.max_rows
+        self._write = slot
+        self.stats.rows_recorded += len(rows)
+        # At most max_rows new slots from start: one run, or two when
+        # the ring wraps.
+        head = min(len(rows), self.max_rows - start)
+        self._write_run(start, patterns, outputs, rows[:head])
+        self._write_run(0, patterns, outputs, rows[head:])
         obs.count("bank.rows_evicted",
                   self.stats.rows_evicted - evicted_before)
+
+    _RUN_CHUNK = 4096
+    """Slots written per step of :meth:`_write_run`; bounds the gathered
+    and packed temporaries at ``_RUN_CHUNK * num_pis`` bytes."""
+
+    def _write_run(self, first: int, patterns: np.ndarray,
+                   outputs: np.ndarray, rows: array.array) -> None:
+        """Write ``patterns[rows]`` and ``outputs[rows]`` into slots
+        ``first, first + 1, ...`` and repack the affected words of the
+        packed mirror from ``_pat``."""
+        for offset in range(0, len(rows), self._RUN_CHUNK):
+            picks = np.frombuffer(rows[offset:offset + self._RUN_CHUNK],
+                                  dtype=np.int64)
+            lo = first + offset
+            hi = lo + len(picks)
+            self._pat[lo:hi] = patterns[picks]
+            self._out[lo:hi] = outputs[picks]
+            self._valid[lo:hi] = True
+            # Whole words touched by [lo, hi); the slots they share with
+            # older rows are repacked from _pat unchanged.
+            w_lo, w_hi = lo >> 6, (hi + 63) >> 6
+            block = self._pat[w_lo << 6:min(w_hi << 6, self.max_rows)]
+            bits = np.packbits(block.T, axis=1, bitorder="little")
+            pad = 8 * (w_hi - w_lo) - bits.shape[1]
+            if pad:
+                bits = np.pad(bits, ((0, 0), (0, pad)))
+            self._pat_words[:, w_lo:w_hi] = \
+                np.ascontiguousarray(bits).view(np.uint64)
 
     def invalidate(self, patterns: np.ndarray) -> int:
         """Drop any stored rows matching ``patterns``; return the count.

@@ -169,6 +169,7 @@ class RetryingOracle(Oracle):
         keys = [row.tobytes() for row in patterns]
         miss_idx: List[int] = []
         miss_keys: List[bytes] = []
+        # Each missed key's position in miss_keys (and so in answers).
         seen_this_batch: Dict[bytes, int] = {}
         for i, key in enumerate(keys):
             if key in self._cache:
@@ -176,7 +177,7 @@ class RetryingOracle(Oracle):
             elif key in seen_this_batch:
                 self.cache_hits += 1
             else:
-                seen_this_batch[key] = i
+                seen_this_batch[key] = len(miss_keys)
                 miss_idx.append(i)
                 miss_keys.append(key)
         batch_hits = patterns.shape[0] - len(miss_idx)
@@ -194,8 +195,8 @@ class RetryingOracle(Oracle):
         for i, key in enumerate(keys):
             if key in self._cache:
                 out[i] = self._cache[key]
-            else:  # cache full or duplicate row inside this batch
-                out[i] = answers[miss_keys.index(key)]
+            else:  # cache frozen or full: not stored, answered this batch
+                out[i] = answers[seen_this_batch[key]]
         return out
 
     def _ask(self, patterns: np.ndarray) -> np.ndarray:

@@ -88,6 +88,38 @@ class TestBusGroup:
         with pytest.raises(ValueError):
             bus.encode(4)
 
+    @pytest.mark.parametrize("positions", [tuple(range(8)),
+                                           (9, 3, 7, 0, 12, 5, 1, 10)])
+    def test_encode_batch_matches_encode(self, positions):
+        for bus in (BusGroup("v", positions),
+                    BusGroup("v", positions).reversed_()):
+            values = list(range(1 << bus.width))
+            block = np.zeros((len(values), 13), dtype=np.uint8)
+            block[:, list(bus.positions)] = bus.encode_batch(values)
+            for value, row in zip(values, block):
+                expect = np.zeros(13, dtype=np.uint8)
+                for pos, bit in bus.encode(value).items():
+                    expect[pos] = bit
+                assert row.tolist() == expect.tolist()
+            assert bus.decode_batch(block).tolist() == values
+
+    def test_encode_batch_wide_bus(self):
+        bus = BusGroup("w", tuple(range(80)))
+        values = [0, 1, (1 << 80) - 1, 1 << 70, (1 << 64) + 5]
+        bits = bus.encode_batch(values)
+        assert bits.shape == (5, 80) and bits.dtype == np.uint8
+        for value, row in zip(values, bits):
+            assert row.tolist() == [bit for _, bit in
+                                    sorted(bus.encode(value).items())]
+
+    def test_encode_batch_out_of_range(self):
+        bus = BusGroup("v", (0, 1))
+        with pytest.raises(ValueError):
+            bus.encode_batch([1, 4])
+        with pytest.raises(ValueError):
+            bus.encode_batch([-1])
+        assert bus.encode_batch([]).shape == (0, 2)
+
     def test_decode_batch(self):
         bus = BusGroup("v", (1, 0))  # bit0 at column 1, bit1 at column 0
         pats = np.array([[0, 1], [1, 0], [1, 1]], dtype=np.uint8)

@@ -101,6 +101,95 @@ class TestSampleBank:
         assert child.stats.hits == 0  # fresh counters
 
 
+def record_row_at_a_time(bank, patterns, outputs):
+    """Reference for :meth:`SampleBank.record`: one row, one slot and one
+    set of array writes at a time."""
+    n = patterns.shape[0]
+    if n > bank.max_rows:
+        patterns = patterns[n - bank.max_rows:]
+        outputs = outputs[n - bank.max_rows:]
+        n = bank.max_rows
+    for row in range(n):
+        key = patterns[row].tobytes()
+        if key in bank._index:
+            continue
+        slot = bank._write
+        old = bank._keys[slot]
+        if old is not None:
+            del bank._index[old]
+            bank.stats.rows_evicted += 1
+        else:
+            bank._size += 1
+        bank._pat[slot] = patterns[row]
+        word, bit = slot >> 6, np.uint64(1 << (slot & 63))
+        bank._pat_words[:, word] &= ~bit
+        bank._pat_words[patterns[row] != 0, word] |= bit
+        bank._out[slot] = outputs[row]
+        bank._keys[slot] = key
+        bank._index[key] = slot
+        bank._valid[slot] = True
+        bank._write = (slot + 1) % bank.max_rows
+        bank.stats.rows_recorded += 1
+
+
+def assert_same_bank(got, want):
+    assert np.array_equal(got._pat, want._pat)
+    assert np.array_equal(got._pat_words, want._pat_words)
+    assert np.array_equal(got._out, want._out)
+    assert np.array_equal(got._valid, want._valid)
+    assert got._keys == want._keys
+    assert got._index == want._index
+    assert (got._size, got._write) == (want._size, want._write)
+    assert got.stats == want.stats
+
+
+class TestBatchedRecord:
+    """``record`` writes whole runs of slots; it must leave the bank
+    exactly as recording one row at a time does."""
+
+    @pytest.mark.parametrize("max_rows", [1, 5, 64, 100, 200])
+    def test_matches_row_at_a_time(self, max_rows):
+        rng = np.random.default_rng(max_rows)
+        num_pis, num_pos = 70, 3
+        pool = rng.integers(0, 2, size=(150, num_pis), dtype=np.uint8)
+        got = SampleBank(num_pis, num_pos, max_rows=max_rows)
+        want = SampleBank(num_pis, num_pos, max_rows=max_rows)
+        # Batch sizes cross ring wrap-around and exceed max_rows; rows
+        # come from a small pool, so batches repeat rows within and
+        # across batches.
+        for size in (3, 40, 1, 0, 90, 260, 7, 130):
+            picks = rng.integers(0, pool.shape[0], size=size)
+            pats = pool[picks]
+            outs = rng.integers(0, 2, size=(size, num_pos), dtype=np.uint8)
+            got.record(pats, outs)
+            record_row_at_a_time(want, pats, outs)
+            assert_same_bank(got, want)
+            if size == 40:
+                # Tombstones in the middle of the ring are refilled by
+                # later batches.
+                dead = pool[rng.integers(0, pool.shape[0], size=20)]
+                assert got.invalidate(dead) == want.invalidate(dead)
+                assert_same_bank(got, want)
+        dead = pool[:60]
+        assert got.invalidate(dead) == want.invalidate(dead)
+        assert_same_bank(got, want)
+        cube = Cube({0: 1, 69: 0})
+        for a, b in zip(got.take(cube, 50), want.take(cube, 50)):
+            assert np.array_equal(a, b)
+
+    def test_long_run_is_written_in_chunks(self):
+        max_rows = 3 * SampleBank._RUN_CHUNK + 17
+        ids = np.arange(max_rows + 500)
+        pats = ((ids[:, None] >> np.arange(20)) & 1).astype(np.uint8)
+        outs = pats[:, :2].copy()
+        got = SampleBank(20, 2, max_rows=max_rows)
+        want = SampleBank(20, 2, max_rows=max_rows)
+        for rows in (slice(0, 1000), slice(500, None)):
+            got.record(pats[rows], outs[rows])
+            record_row_at_a_time(want, pats[rows], outs[rows])
+            assert_same_bank(got, want)
+
+
 class TestBankedOracle:
     def test_hits_never_bill_inner(self):
         inner = xor_oracle()

@@ -1,5 +1,7 @@
 """Retry with backoff, and the no-double-billing query cache."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,69 @@ class TestQueryCache:
         # Asking the same assignment again costs nothing at all.
         oracle.query(patterns)
         assert flaky.query_count == 1
+
+
+def distinct_rows(n, width=30, seed=0):
+    """``n`` pairwise distinct 0/1 rows of ``width`` bits."""
+    rng = np.random.default_rng(seed)
+    ints = rng.choice(1 << width, size=n, replace=False)
+    return ((ints[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+
+
+def miss_batch_seconds(memo, n):
+    """Best-of-3 wall seconds to ask ``n`` distinct rows that ``memo``
+    (``"frozen"`` or ``"full"``) will not store."""
+    rows = distinct_rows(n)
+    best = float("inf")
+    for _ in range(3):
+        if memo == "frozen":
+            oracle = RetryingOracle(XorOracle(30), RetryPolicy())
+            oracle.freeze_cache()
+        else:
+            oracle = RetryingOracle(XorOracle(30), RetryPolicy(),
+                                    max_cache_rows=0)
+        start = time.perf_counter()
+        oracle.query(rows)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestUnstoredMisses:
+    """Rows a frozen or full memo does not store are answered from the
+    batch's own answers, by key, in constant time per row."""
+
+    def test_frozen_memo_answers_exactly(self):
+        inner = XorOracle(30)
+        oracle = RetryingOracle(inner, RetryPolicy())
+        rows = distinct_rows(300)
+        oracle.query(rows[:10])
+        oracle.freeze_cache()
+        batch = np.concatenate([rows[5:], rows[40:60], rows[:10]])
+        assert oracle.query(batch).tolist() == \
+            XorOracle(30).query(batch).tolist()
+        assert oracle.cache_entries == 10
+        # Stored rows and in-batch duplicates are billed once each.
+        assert inner.query_count == 300
+        assert oracle.cache_hits == 5 + 20 + 10
+
+    def test_memo_past_its_cap_answers_exactly(self):
+        inner = XorOracle(30)
+        oracle = RetryingOracle(inner, RetryPolicy(), max_cache_rows=100)
+        rows = distinct_rows(400)
+        first = np.concatenate([rows[:300], rows[250:300][::-1]])
+        assert oracle.query(first).tolist() == \
+            XorOracle(30).query(first).tolist()
+        assert oracle.cache_entries == 100
+        second = np.concatenate([rows[50:150], rows[300:], rows[350:]])
+        assert oracle.query(second).tolist() == \
+            XorOracle(30).query(second).tolist()
+        assert oracle.cache_entries == 100
+        assert inner.query_count == 300 + 50 + 100
+
+    @pytest.mark.parametrize("memo", ["frozen", "full"])
+    def test_unstored_misses_scale_linearly(self, memo):
+        n = 2000
+        small = miss_batch_seconds(memo, n)
+        large = miss_batch_seconds(memo, 4 * n)
+        # A per-row scan of the miss list makes this about 16x.
+        assert large < 8 * small, (small, large)
