@@ -81,11 +81,8 @@ BENCHES = {
     "fbdt_batched": ("BENCH_fbdt_batched.json", (
         MetricSpec("batched/oracle_calls", RATIO, LOWER, 0.10),
         MetricSpec("batched/oracle_rows", RATIO, LOWER, 0.10),
-        MetricSpec("calls_ratio", RATIO, HIGHER, 0.50),
-        MetricSpec("wall_ratio", RATIO, HIGHER, 0.50),
         MetricSpec("batched/accuracy", ABS, HIGHER, 0.05),
         MetricSpec("batched/wall_s", INFO),
-        MetricSpec("unbatched/wall_s", INFO),
     )),
     "service": ("BENCH_service.json", (
         MetricSpec("cache/hits", EXACT, HIGHER),

@@ -91,7 +91,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs,
         enable_sample_bank=not args.no_sample_bank,
-        frontier_mode=args.frontier_mode,
         kernel_backend=args.kernel_backend,
         observability=ObsConfig(
             profile=bool(args.profile_out or args.profile_mem),
@@ -586,12 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--no-sample-bank", action="store_true",
                        help="disable the cross-output sample bank "
                             "(every probe hits the oracle)")
-    learn.add_argument("--frontier-mode", default="batched",
-                       metavar="MODE",
-                       help="FBDT frontier expansion: 'batched' fuses "
-                            "every level's probes into one oracle call "
-                            "(default), 'unbatched' expands one node at "
-                            "a time (reference path)")
     learn.add_argument("--kernel-backend", default="auto",
                        metavar="BACKEND",
                        help="packed logic-kernel backend: 'numpy' "
@@ -798,9 +791,6 @@ def _validate_learn_args(parser: argparse.ArgumentParser,
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint (there is nothing "
                      "to resume from)")
-    if args.frontier_mode not in ("batched", "unbatched"):
-        parser.error(f"--frontier-mode must be 'batched' or 'unbatched' "
-                     f"(got {args.frontier_mode!r})")
     if args.kernel_backend not in ("auto", "numpy", "numba"):
         parser.error(f"--kernel-backend must be 'auto', 'numpy' or "
                      f"'numba' (got {args.kernel_backend!r})")

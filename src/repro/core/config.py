@@ -36,10 +36,6 @@ class RobustnessConfig:
     retry_jitter: float = 0.5
     """Random scale-up of each delay (de-correlates retry storms)."""
 
-    cache_queries: bool = True
-    """Memoize answered assignments inside the retry wrapper so retried
-    or repeated queries never double-bill the query budget."""
-
     isolate_outputs: bool = True
     """Catch per-output failures at the output boundary and emit a
     degraded cover instead of propagating.  ``False`` restores the
@@ -265,23 +261,15 @@ class RegressorConfig:
     """Trick 2: realize whichever of the onset/offset cover is smaller."""
 
     levelized: bool = True
-    """Explore the FBDT in levelized (BFS) order, per the paper; False
-    gives depth-first order for the ablation."""
+    """Explore the FBDT in levelized (BFS) order, per the paper, fusing
+    each level's oracle traffic into a few calls; False gives depth-first
+    order for the ablation (one node per pass)."""
 
     max_tree_nodes: int = 4096
     """Hard cap on expanded FBDT nodes per output."""
 
     max_depth: Optional[int] = None
     """Optional depth cap per output (None = bounded by support size)."""
-
-    frontier_mode: str = "batched"
-    """How FBDT frontier nodes are expanded in levelized (BFS) order:
-    ``"batched"`` fuses every frontier node's constant-leaf probe,
-    subtree tabulation and split-selection sampling into one oracle
-    call per level (per-node RNG substreams keep results deterministic
-    at any ``--jobs`` value); ``"unbatched"`` keeps the node-at-a-time
-    reference path.  Depth-first exploration (``levelized=False``)
-    always runs unbatched — there is no level to fuse."""
 
     kernel_backend: str = "auto"
     """Implementation of the packed bit-parallel logic kernels
@@ -357,10 +345,6 @@ class RegressorConfig:
             raise ValueError("budget fractions leave nothing for the tree")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.frontier_mode not in ("batched", "unbatched"):
-            raise ValueError(
-                "frontier_mode must be 'batched' or 'unbatched', got "
-                f"{self.frontier_mode!r}")
         if self.kernel_backend not in ("auto", "numpy", "numba"):
             raise ValueError(
                 "kernel_backend must be 'auto', 'numpy' or 'numba', got "

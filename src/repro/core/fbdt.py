@@ -12,23 +12,20 @@ Trick 1 (conquering small functions) lives here too: supports up to the
 exhaustive threshold skip the tree entirely and are tabulated minterm by
 minterm.
 
-Frontier expansion comes in two modes (``RegressorConfig.frontier_mode``):
-
-- ``"batched"`` (default, levelized order only): all frontier nodes of a
-  BFS depth are independent, so their constant-leaf probes, subtree
-  tabulations and split-selection sampling blocks are fused into one
-  ``oracle.query`` call per level.  Every node draws from its own RNG
-  substream (``[base_key, _NODE_STREAM, node_uid]``, mirroring
-  ``derive_output_rng``), so results do not depend on how the level is
-  chunked and stay bit-identical at any ``--jobs`` value.
-- ``"unbatched"``: the node-at-a-time reference path (also used for
-  depth-first exploration, which has no level to fuse).
+One engine grows the tree, a pass at a time over a *frontier* taken from
+the list of pending nodes.  In levelized order a pass takes the whole
+list, a BFS level; in depth-first order (``levelized=False``, the
+ablation) it pops one node, a one-node frontier.  The frontier's
+constant-leaf probes, subtree tabulations and split-selection sampling
+blocks are fused into one ``oracle.query`` call each.  Every node draws
+from its own RNG substream (``[base_key, _NODE_STREAM, node_uid]``,
+mirroring ``derive_output_rng``), so results do not depend on how the
+frontier is chunked and stay bit-identical at any ``--jobs`` value.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -52,7 +49,8 @@ histograms merge across workers and runs."""
 
 LEVEL_WIDTH_BOUNDARIES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 """Fixed histogram buckets for ``fbdt.level_width`` — frontier nodes
-fused per batched level (the batch sizes the level engine achieves)."""
+fused per pass (the batch sizes the engine achieves; always 1 in
+depth-first order)."""
 
 _NODE_STREAM = 0x51AC
 """Domain separator of per-node RNG substreams (sibling of the
@@ -79,12 +77,13 @@ class FbdtStats:
     """Leaf-probe rows drained from the sample bank.  Together with
     ``bank_misses`` this partitions the probe traffic: for every
     completed leaf probe, ``bank_hits + bank_misses`` equals the rows
-    requested (``nodes_expanded * leaf_samples``) in both frontier
-    modes."""
+    requested (``nodes_expanded * leaf_samples``) in either exploration
+    order."""
     bank_misses: int = 0
     """Leaf-probe rows the bank could not supply (freshly queried)."""
     levels: int = 0
-    """Batched frontier levels processed (0 in unbatched mode)."""
+    """Frontier passes processed: BFS levels in levelized order, one per
+    expanded node in depth-first order."""
     minimize_wall_s: float = 0.0
     """Wall seconds spent in two-level minimization for this output
     (espresso-lite cleanup + exact/QM tabulation minimization).  Paid in
@@ -294,14 +293,8 @@ def build_decision_tree(oracle: Oracle, output: int,
     stats = FbdtStats()
     onset: List[Cube] = []
     offset: List[Cube] = []
-    if config.frontier_mode == "batched" and config.levelized:
-        root_ratio = _grow_batched(oracle, output, support_set, config,
-                                   rng, stats, onset, offset,
-                                   deadline=deadline, bank=bank)
-    else:
-        root_ratio = _grow_unbatched(oracle, output, support_set, config,
-                                     rng, stats, onset, offset,
-                                     deadline=deadline, bank=bank)
+    root_ratio = _grow(oracle, output, support_set, config, rng, stats,
+                       onset, offset, deadline=deadline, bank=bank)
 
     onset_sop = Sop(onset, num_pis).merge_siblings()
     offset_sop = Sop(offset, num_pis).merge_siblings()
@@ -319,52 +312,9 @@ def build_decision_tree(oracle: Oracle, output: int,
     return cover
 
 
-def _grow_unbatched(oracle: Oracle, output: int, support_set: set,
-                    config: RegressorConfig, rng: np.random.Generator,
-                    stats: FbdtStats, onset: List[Cube],
-                    offset: List[Cube], deadline: Optional[float] = None,
-                    bank=None) -> Optional[float]:
-    """The node-at-a-time reference engine (one oracle probe per node)."""
-    queue = deque([Cube.empty()])
-    root_ratio: Optional[float] = None
-
-    def out_of_budget() -> bool:
-        if deadline is not None and time.monotonic() >= deadline:
-            return True
-        return stats.nodes_expanded >= config.max_tree_nodes
-
-    while queue:
-        if out_of_budget():
-            stats.timed_out = True
-            _flush_pending(oracle, output, queue, onset, offset, rng,
-                           config, stats, fallback_ratio=root_ratio)
-            break
-        cube = queue.popleft() if config.levelized else queue.pop()
-        try:
-            ratio = _expand_node(oracle, output, cube, queue, onset,
-                                 offset, support_set, config, rng, stats,
-                                 bank=bank)
-        except QueryBudgetExceeded:
-            # The query budget died mid-tree: keep everything learned so
-            # far as the best partial cover.  The node in hand and all
-            # pending nodes become majority leaves with no further
-            # queries, biased by the root truth ratio.
-            stats.budget_exhausted = True
-            stats.timed_out = True
-            guess = root_ratio if root_ratio is not None else 0.0
-            _majority_leaf(cube, guess, onset, offset, stats)
-            while queue:
-                _majority_leaf(queue.popleft(), guess, onset, offset,
-                               stats)
-            break
-        if root_ratio is None:
-            root_ratio = ratio
-    return root_ratio
-
-
 @dataclass(eq=False)
 class _FrontierNode:
-    """One batched-frontier node with its private RNG substream."""
+    """One frontier node with its private RNG substream."""
 
     cube: Cube
     uid: int
@@ -418,26 +368,27 @@ def _query_blocks(oracle: Oracle, blocks: List[np.ndarray],
     return pieces
 
 
-def _grow_batched(oracle: Oracle, output: int, support_set: set,
-                  config: RegressorConfig, rng: np.random.Generator,
-                  stats: FbdtStats, onset: List[Cube],
-                  offset: List[Cube], deadline: Optional[float] = None,
-                  bank=None) -> Optional[float]:
-    """Level-batched Algorithm 2: one fused probe per frontier level.
+def _grow(oracle: Oracle, output: int, support_set: set,
+          config: RegressorConfig, rng: np.random.Generator,
+          stats: FbdtStats, onset: List[Cube], offset: List[Cube],
+          deadline: Optional[float] = None, bank=None) -> Optional[float]:
+    """Algorithm 2 over a frontier: a constant number of fused
+    ``oracle.query`` calls per pass instead of several per node.
 
-    Semantics match :func:`_grow_unbatched` node for node — same leaf
-    thresholds, subtree conquest, split selection and support widening —
-    but every level costs a constant number of ``oracle.query`` calls
-    instead of several per node.  Each node owns the RNG substream
+    ``pending`` holds the nodes not yet expanded.  In levelized order each
+    pass takes all of it (one BFS level); in depth-first order it pops the
+    newest node, so the frontier is that single node.  Children go back
+    onto ``pending``.  Each node owns the RNG substream
     ``[base_key, _NODE_STREAM, uid]`` (uids assigned in deterministic
-    creation order), so its draws are independent of how the level is
-    batched; ``rng`` itself is consumed exactly once for ``base_key``
-    plus any timeout flushes, keeping same-seed runs bit-identical at
-    any ``--jobs`` value.
+    creation order), so its draws are independent of how the frontier is
+    batched; ``rng`` itself is consumed exactly once for ``base_key`` plus
+    any timeout flushes, keeping same-seed runs bit-identical at any
+    ``--jobs`` value.  Deadline flushes, the node cap and budget death
+    turn every node still pending into a majority leaf.
 
-    Bank accounting invariant: per completed level, drained rows
+    Bank accounting invariant: per completed pass, drained rows
     (``bank_hits``) plus fresh rows (``bank_misses``) equal
-    ``level_width * leaf_samples`` — the satellite contract checked by
+    ``frontier_width * leaf_samples`` — the contract checked by
     ``tests/core/test_fbdt_batched.py``.
     """
     from repro.perf.bank import BankedOracle
@@ -446,27 +397,33 @@ def _grow_batched(oracle: Oracle, output: int, support_set: set,
     num_pos = oracle.num_pos
     eps = config.leaf_epsilon
     base_key = int(rng.integers(0, 2 ** 63))
-    frontier: List[Tuple[Cube, int]] = [(Cube.empty(), 0)]
+    pending: List[Tuple[Cube, int]] = [(Cube.empty(), 0)]
     next_uid = 1
     root_ratio: Optional[float] = None
+
+    def still_pending() -> List[Cube]:
+        return [c for c, _ in pending]
 
     def give_up(unresolved: List[Cube]) -> None:
         """Budget death: every unresolved cube becomes a majority leaf."""
         stats.budget_exhausted = True
         stats.timed_out = True
         guess = root_ratio if root_ratio is not None else 0.0
-        for cube in unresolved:
+        for cube in unresolved + still_pending():
             _majority_leaf(cube, guess, onset, offset, stats)
 
-    while frontier:
+    while pending:
         if deadline is not None and time.monotonic() >= deadline:
             stats.timed_out = True
-            _flush_pending(oracle, output, [c for c, _ in frontier],
-                           onset, offset, rng, config, stats,
-                           fallback_ratio=root_ratio)
+            _flush_pending(oracle, output, still_pending(), onset, offset,
+                           rng, config, stats, fallback_ratio=root_ratio)
             return root_ratio
+        if config.levelized:
+            frontier, pending = pending, []
+        else:
+            frontier = [pending.pop()]
         # Node cap: process only what the budget allows; the overflow is
-        # flushed as majority leaves after this (final) level.
+        # flushed as majority leaves after this (final) pass.
         allowed = config.max_tree_nodes - stats.nodes_expanded
         overflow = []
         if len(frontier) > allowed:
@@ -474,8 +431,9 @@ def _grow_batched(oracle: Oracle, output: int, support_set: set,
             frontier = frontier[:allowed]
         if not frontier:
             stats.timed_out = True
-            _flush_pending(oracle, output, overflow, onset, offset, rng,
-                           config, stats, fallback_ratio=root_ratio)
+            _flush_pending(oracle, output, overflow + still_pending(),
+                           onset, offset, rng, config, stats,
+                           fallback_ratio=root_ratio)
             return root_ratio
         stats.levels += 1
         obs.count("fbdt.level_batches")
@@ -484,7 +442,7 @@ def _grow_batched(oracle: Oracle, output: int, support_set: set,
         nodes = [_FrontierNode(cube, uid, np.random.default_rng(
             [base_key, _NODE_STREAM, uid])) for cube, uid in frontier]
 
-        # --- fused constant-leaf probe across the level -----------------
+        # --- fused constant-leaf probe across the frontier --------------
         drained: List[np.ndarray] = []
         fresh_blocks: List[np.ndarray] = []
         for node in nodes:
@@ -588,7 +546,7 @@ def _grow_batched(oracle: Oracle, output: int, support_set: set,
                     continue
                 splitters.append(node)  # validation failed: split on
 
-        # --- fused split selection across the level ---------------------
+        # --- fused split selection across the frontier ------------------
         children: List[Tuple[Cube, int]] = []
         if splitters:
             r = config.r_node
@@ -648,123 +606,13 @@ def _grow_batched(oracle: Oracle, output: int, support_set: set,
         if overflow:
             stats.timed_out = True
             _flush_pending(oracle, output,
-                           [c for c, _ in children] + overflow,
+                           [c for c, _ in children] + overflow
+                           + still_pending(),
                            onset, offset, rng, config, stats,
                            fallback_ratio=root_ratio)
             return root_ratio
-        frontier = children
+        pending.extend(children)
     return root_ratio
-
-
-def _expand_node(oracle: Oracle, output: int, cube: Cube, queue,
-                 onset: List[Cube], offset: List[Cube], support_set: set,
-                 config: RegressorConfig, rng: np.random.Generator,
-                 stats: FbdtStats, bank=None) -> float:
-    """Process one FBDT node (leaf-test, conquer, or split).
-
-    Returns the node's sampled truth ratio; raising
-    ``QueryBudgetExceeded`` leaves ``onset``/``offset`` holding every
-    leaf decided before the budget died (the caller's partial cover).
-    """
-    num_pis = oracle.num_pis
-    eps = config.leaf_epsilon
-    stats.nodes_expanded += 1
-    obs.count("fbdt.nodes_expanded")
-    stats.max_depth = max(stats.max_depth, len(cube))
-    candidates = [i for i in support_set if i not in cube]
-    # Constant-leaf probe (cheap, no flip blocks); bank rows matching
-    # this cube — answered for earlier probes or sibling subspaces —
-    # are drained before fresh budget is spent.
-    if bank is not None:
-        from repro.perf.bank import banked_probe
-
-        before = bank.stats.hits
-        values = banked_probe(oracle, cube, config.leaf_samples, rng,
-                              config.sampling_biases, bank,
-                              config.bank_fresh_fraction)[:, output]
-        hits = bank.stats.hits - before
-        stats.bank_hits += hits
-        stats.bank_misses += config.leaf_samples - hits
-    else:
-        probes = random_patterns(config.leaf_samples, num_pis, rng,
-                                 config.sampling_biases, cube)
-        values = oracle.query(probes, validate=False)[:, output]
-    ratio = float(values.mean())
-    if ratio >= 1.0 - eps:
-        onset.append(cube)
-        stats.onset_leaves += 1
-        obs.count("fbdt.leaves", kind="onset")
-        obs.observe("fbdt.leaf_depth", len(cube), LEAF_DEPTH_BOUNDARIES)
-        return ratio
-    if ratio <= eps:
-        offset.append(cube)
-        stats.offset_leaves += 1
-        obs.count("fbdt.leaves", kind="offset")
-        obs.observe("fbdt.leaf_depth", len(cube), LEAF_DEPTH_BOUNDARIES)
-        return ratio
-    if config.max_depth is not None and len(cube) >= config.max_depth:
-        _majority_leaf(cube, ratio, onset, offset, stats)
-        return ratio
-    # Subtree conquest (trick 1 inside the tree): the remaining
-    # support fits the exhaustive budget, so tabulate this subspace
-    # exactly instead of splitting on.
-    if (candidates and 0 < config.subtree_exhaustive_threshold
-            and len(candidates) <= config.subtree_exhaustive_threshold
-            and _exhaust_subtree(oracle, output, cube,
-                                 sorted(candidates), onset, offset,
-                                 stats, rng, config)):
-        return ratio
-    # Most significant input via constrained PatternSampling (r_node).
-    best = None
-    if candidates:
-        sample = pattern_sampling(oracle, cube, config.r_node, rng,
-                                  biases=config.sampling_biases,
-                                  candidates=candidates)
-        best = sample.most_significant(output, candidates)
-    if best is None:
-        # Either S' is exhausted along this path or its dependency
-        # counts vanished while the values stay mixed: the support was
-        # an under-approximation — widen with inputs outside S'.
-        extra = [i for i in range(num_pis)
-                 if i not in cube and i not in support_set]
-        if extra:
-            sample = pattern_sampling(oracle, cube, config.r_node, rng,
-                                      biases=config.sampling_biases,
-                                      candidates=extra)
-            best = sample.most_significant(output, extra)
-            if best is not None:
-                support_set.add(best)
-    if best is None:
-        _majority_leaf(cube, ratio, onset, offset, stats)
-        return ratio
-    queue.append(cube.with_literal(best, 0))
-    queue.append(cube.with_literal(best, 1))
-    return ratio
-
-
-def _exhaust_subtree(oracle: Oracle, output: int, cube: Cube,
-                     candidates: List[int], onset: List[Cube],
-                     offset: List[Cube], stats: FbdtStats,
-                     rng: np.random.Generator,
-                     config: RegressorConfig) -> bool:
-    """Tabulate ``f|cube`` over ``candidates`` and emit minimized leaves.
-
-    Inputs outside cube+candidates are pinned to 0 while tabulating;
-    random validation probes (free values everywhere) then check that the
-    support approximation holds in this subspace.  Returns False — emit
-    nothing — when validation fails, so the caller falls back to
-    splitting (which includes support widening).
-    """
-    k = len(candidates)
-    patterns = np.zeros((1 << k, oracle.num_pis), dtype=np.uint8)
-    cube.apply_to(patterns)
-    patterns[:, candidates] = bitops.minterm_block(k)
-    values = oracle.query(patterns, validate=False)[:, output]
-    probes = random_patterns(32, oracle.num_pis, rng,
-                             config.sampling_biases, cube)
-    probe_out = oracle.query(probes, validate=False)[:, output]
-    return _emit_tabulated(cube, candidates, values, probes, probe_out,
-                           onset, offset, stats)
 
 
 def _emit_tabulated(cube: Cube, candidates: List[int],
@@ -818,7 +666,7 @@ def _majority_leaf(cube: Cube, ratio: float, onset: List[Cube],
     obs.observe("fbdt.leaf_depth", len(cube), LEAF_DEPTH_BOUNDARIES)
 
 
-def _flush_pending(oracle: Oracle, output: int, queue,
+def _flush_pending(oracle: Oracle, output: int, pending: List[Cube],
                    onset: List[Cube], offset: List[Cube],
                    rng: np.random.Generator, config: RegressorConfig,
                    stats: FbdtStats, probes_per_cube: int = 8,
@@ -829,8 +677,6 @@ def _flush_pending(oracle: Oracle, output: int, queue,
     query cannot be served (budget exhausted), the cubes fall back to
     the ``fallback_ratio`` majority guess so a cover is still emitted.
     """
-    pending = list(queue)
-    queue.clear()
     if not pending:
         return
     num_pis = oracle.num_pis

@@ -87,11 +87,10 @@ class LearnResult:
     """How step-4 ran (``sequential`` or ``parallel xN``)."""
 
     engine: Dict[str, str] = field(default_factory=dict)
-    """Resolved execution-engine knobs for the run: ``frontier_mode``
-    (batched/unbatched), ``kernel_backend`` (the *resolved* backend —
-    ``auto`` never appears here) and ``mode`` (same as
-    :attr:`engine_mode`).  Serialized as the report's ``engine``
-    section (schema v4)."""
+    """Resolved execution-engine knobs for the run: ``kernel_backend``
+    (the *resolved* backend — ``auto`` never appears here) and ``mode``
+    (same as :attr:`engine_mode`).  Serialized as the report's
+    ``engine`` section (schema v4)."""
 
     supervisor: Optional[dict] = None
     """Supervised-pool statistics (crashes, hangs, redispatches,
@@ -229,7 +228,7 @@ class LogicRegressor:
                                    base_delay=rob.retry_base_delay,
                                    max_delay=rob.retry_max_delay,
                                    jitter=rob.retry_jitter),
-                seed=cfg.seed, cache=rob.cache_queries)
+                seed=cfg.seed)
         # The sample bank sits above the retry wrapper: rows it serves
         # from memory never reach (or bill) the underlying oracle.
         bank: Optional[SampleBank] = None
@@ -585,8 +584,7 @@ class LogicRegressor:
                            degradations=st.degradations(),
                            verification=verification,
                            engine_mode=engine_mode,
-                           engine={"frontier_mode": cfg.frontier_mode,
-                                   "kernel_backend": kernel_backend,
+                           engine={"kernel_backend": kernel_backend,
                                    "mode": engine_mode},
                            supervisor=supervisor_stats,
                            sample_bank=bank,

@@ -144,15 +144,13 @@ REPORT_SCHEMA: Dict[str, Any] = {
                  "oracle_layers", "methods", "verification", "supervisor",
                  "job", "fleet", "profile", "storage"],
     "properties": {
-        "schema_version": {"type": "integer", "enum": [7]},
+        "schema_version": {"type": "integer", "enum": [8]},
         "profile": _PROFILE_BLOCK,
         "storage": _STORAGE_BLOCK,
         "engine": {
             "type": "object",
-            "required": ["frontier_mode", "kernel_backend", "mode"],
+            "required": ["kernel_backend", "mode"],
             "properties": {
-                "frontier_mode": {"type": "string",
-                                  "enum": ["batched", "unbatched"]},
                 "kernel_backend": {"type": "string",
                                    "enum": ["numpy", "numba"]},
                 "mode": {"type": "string"},
@@ -493,7 +491,6 @@ def build_run_report(result, config, *,
         }
 
     engine = dict(getattr(result, "engine", None) or {})
-    engine.setdefault("frontier_mode", config.frontier_mode)
     engine.setdefault(
         "kernel_backend",
         config.kernel_backend if config.kernel_backend != "auto"
@@ -507,7 +504,7 @@ def build_run_report(result, config, *,
         profile_section = Profiler.from_instrumentation(instr).to_json()
 
     return {
-        "schema_version": 7,
+        "schema_version": 8,
         "run": {
             "seed": config.seed,
             "jobs": config.jobs,

@@ -179,7 +179,7 @@ class TestReportIntegration:
         result, cfg = _learn(1)
         report = build_run_report(result, cfg)
         assert validate(report, REPORT_SCHEMA) == []
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         profile = report["profile"]
         assert profile is not None
         assert profile["counters"]

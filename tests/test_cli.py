@@ -307,7 +307,7 @@ class TestProfilerCli:
         assert profile["counters"]
         # The run report embeds the identical block (schema v6).
         report = json.load(open(report_path))
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         assert report["profile"] == profile
 
     def test_profile_mem_adds_watermarks(self, circuit_file, tmp_path):
