@@ -102,10 +102,6 @@ class CompressedOracle(Oracle):
         not included)."""
         return list(self._kept)
 
-    @property
-    def delegate_index(self) -> int:
-        return self.num_pis - 1
-
     def expand(self, patterns: np.ndarray) -> np.ndarray:
         """Compressed patterns -> full original-space patterns."""
         n = patterns.shape[0]

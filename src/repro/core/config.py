@@ -4,13 +4,17 @@ Defaults follow the paper's reported constants where given (``r = 7200``
 for support identification, ``r = 60`` per tree node, exhaustive-enumeration
 threshold 18) with the sampling volume scaled down by default because the
 reference implementation is C++ on a contest machine and ours is a Python
-prototype; every constant is a knob so the benchmarks can sweep them.
+prototype.  A setting is a field here only when a caller (the CLI, the
+service, the chaos matrix, an example or a benchmark) sets it; every other
+constant lives once, as the default of the component that uses it
+(``VerifyPolicy``, ``SupervisorPolicy``, ``DeadlineManager``,
+``SampleBank``, ...) or as a named constant at its point of use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 
 @dataclass
@@ -33,18 +37,6 @@ class RobustnessConfig:
     retry_max_delay: float = 2.0
     """Cap on a single backoff delay."""
 
-    retry_jitter: float = 0.5
-    """Random scale-up of each delay (de-correlates retry storms)."""
-
-    isolate_outputs: bool = True
-    """Catch per-output failures at the output boundary and emit a
-    degraded cover instead of propagating.  ``False`` restores the
-    fail-fast behaviour (useful when debugging the learner itself)."""
-
-    hard_slack: float = 1.5
-    """Hard-tier multiplier on each output's fair-share soft deadline
-    (see ``repro.robustness.deadline.DeadlineManager``)."""
-
     checkpoint_path: Optional[str] = None
     """Write a per-output checkpoint file here (None disables)."""
 
@@ -59,41 +51,13 @@ class RobustnessConfig:
     disables the audit wrapper).  Selection is a pure per-row hash, so
     audit counters are identical at any ``--jobs`` value."""
 
-    audit_votes: int = 3
-    """Copies majority-voted when an audited row disagrees (odd,
-    >= 3)."""
-
     # -- verify-and-repair (repro.robustness.verify) -----------------------
     verify: bool = True
     """Certify every learned output against fresh oracle rows after
     optimization and repair the ones that fail (the contest target is
     99.99%; a run that cannot certify tags the output honestly instead
-    of shipping it silently wrong)."""
-
-    verify_target: float = 0.9999
-    """Per-output hit rate the Wilson lower bound is checked against."""
-
-    verify_confidence: float = 0.95
-    """One-sided confidence of the verification bound."""
-
-    verify_samples: Optional[int] = None
-    """Fixed verification rows per output; ``None`` adapts to
-    ``verify_rows_fraction`` of the learn-stage billed rows, clamped to
-    ``[verify_min_samples, rows_to_certify(target)]``."""
-
-    verify_rows_fraction: float = 0.08
-    """Adaptive share of learn-billed rows spent on verification."""
-
-    verify_min_samples: int = 256
-    """Floor on the adaptive verification sample per output."""
-
-    max_repair_rounds: int = 2
-    """Repair attempts per failing output (patch cubes first, re-learn
-    last; 0 reports ``verify-failed`` without repairing)."""
-
-    repair_rows_fraction: float = 0.05
-    """Cap on repair-channel oracle rows, as a share of learn-billed
-    rows."""
+    of shipping it silently wrong).  The stage's own settings are the
+    defaults of :class:`~repro.robustness.verify.VerifyPolicy`."""
 
     # -- worker supervision (repro.robustness.supervisor) ------------------
     heartbeat_interval: float = 0.25
@@ -101,18 +65,8 @@ class RobustnessConfig:
 
     heartbeat_timeout: float = 15.0
     """A busy worker silent this long is terminated and its task
-    re-dispatched."""
-
-    task_wall_grace: float = 5.0
-    """Slack on top of a task's hard deadline before the supervisor
-    kills the worker outright."""
-
-    max_redispatches: int = 1
-    """Fresh-worker retries per task whose worker crashed or hung;
-    beyond this the task is quarantined as a poison task."""
-
-    redispatch_budget_factor: float = 0.5
-    """Scale on a re-dispatched task's soft/hard time budgets."""
+    re-dispatched (wall grace and re-dispatch limits are the defaults
+    of :class:`~repro.robustness.supervisor.SupervisorPolicy`)."""
 
     worker_fault_plan: Optional[dict] = None
     """Chaos/test injection: task index -> ``"crash"`` | ``"hang"``,
@@ -121,43 +75,17 @@ class RobustnessConfig:
     def validate(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if min(self.retry_base_delay, self.retry_max_delay,
-               self.retry_jitter) < 0:
-            raise ValueError("retry delays and jitter must be >= 0")
-        if self.hard_slack < 1.0:
-            raise ValueError("hard_slack must be >= 1")
+        if min(self.retry_base_delay, self.retry_max_delay) < 0:
+            raise ValueError("retry delays must be >= 0")
         if self.resume and not self.checkpoint_path:
             raise ValueError("resume requires a checkpoint_path")
         if not 0.0 <= self.audit_rate <= 1.0:
             raise ValueError("audit_rate must be in [0, 1]")
-        if self.audit_votes < 3 or self.audit_votes % 2 == 0:
-            raise ValueError("audit_votes must be odd and >= 3")
-        if not 0.0 < self.verify_target < 1.0:
-            raise ValueError("verify_target must be inside (0, 1)")
-        if not 0.0 < self.verify_confidence < 1.0:
-            raise ValueError("verify_confidence must be inside (0, 1)")
-        if self.verify_samples is not None and self.verify_samples <= 0:
-            raise ValueError("verify_samples must be positive when set")
-        if not 0.0 < self.verify_rows_fraction <= 1.0:
-            raise ValueError("verify_rows_fraction must be in (0, 1]")
-        if self.verify_min_samples <= 0:
-            raise ValueError("verify_min_samples must be positive")
-        if self.max_repair_rounds < 0:
-            raise ValueError("max_repair_rounds must be non-negative")
-        if not 0.0 < self.repair_rows_fraction <= 1.0:
-            raise ValueError("repair_rows_fraction must be in (0, 1]")
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
             raise ValueError("heartbeat interval/timeout must be > 0")
         if self.heartbeat_timeout <= self.heartbeat_interval:
             raise ValueError(
                 "heartbeat_timeout must exceed heartbeat_interval")
-        if self.task_wall_grace < 0:
-            raise ValueError("task_wall_grace must be non-negative")
-        if self.max_redispatches < 0:
-            raise ValueError("max_redispatches must be non-negative")
-        if not 0.0 < self.redispatch_budget_factor <= 1.0:
-            raise ValueError(
-                "redispatch_budget_factor must be in (0, 1]")
 
 
 @dataclass
@@ -205,13 +133,6 @@ class RegressorConfig:
 
     template_samples: int = 192
     """Random samples used to accept/reject a template hypothesis."""
-
-    propagation_tries: int = 24
-    """Random context assignments tried when searching the propagation
-    cube of a buried comparator (Sec. IV-B1)."""
-
-    min_bus_width: int = 2
-    """Name groups narrower than this are treated as scalars."""
 
     enable_extended_templates: bool = True
     """Also try the extension families (MUX / bitwise / wiring) of
@@ -268,9 +189,6 @@ class RegressorConfig:
     max_tree_nodes: int = 4096
     """Hard cap on expanded FBDT nodes per output."""
 
-    max_depth: Optional[int] = None
-    """Optional depth cap per output (None = bounded by support size)."""
-
     kernel_backend: str = "auto"
     """Implementation of the packed bit-parallel logic kernels
     (``repro.logic.bitops``): ``"numpy"``, ``"numba"`` (JIT, needs the
@@ -281,42 +199,26 @@ class RegressorConfig:
     jobs: int = 1
     """Worker processes for per-output learning.  1 keeps the paper's
     single-threaded contract; N > 1 learns independent outputs in
-    ``concurrent.futures`` worker processes with per-worker oracle
-    shards.  Output is deterministic (same seed => bit-identical
-    circuit) regardless of worker count as long as neither wall-clock
-    deadlines nor the query budget bind (see docs/PERFORMANCE.md)."""
+    supervised worker processes with per-worker oracle shards.  Output
+    is deterministic (same seed => bit-identical circuit) regardless of
+    worker count as long as neither wall-clock deadlines nor the query
+    budget bind (see docs/PERFORMANCE.md)."""
 
     enable_sample_bank: bool = True
     """Keep every answered (pattern, full output row) pair in a bounded
     cross-output :class:`~repro.perf.bank.SampleBank` and drain it
     before spending new query budget."""
 
-    bank_max_rows: int = 1 << 16
-    """Ring capacity of the sample bank, rows (memory is
-    ``bank_max_rows * (num_pis + num_pos)`` bytes plus the index)."""
-
-    bank_fresh_fraction: float = 0.25
-    """Floor on the freshly sampled share of each bank-assisted probe,
-    so stale bank rows can never fully starve a leaf test of new
-    evidence."""
-
     # -- budgets -----------------------------------------------------------------
     time_limit: float = 120.0
-    """Wall-clock budget for the whole pipeline, seconds (contest: 2700)."""
-
-    preprocessing_fraction: float = 0.15
-    """Share of the budget reserved for steps 1-3."""
-
-    optimize_fraction: float = 0.2
-    """Share of the budget reserved for circuit optimization (step 5)."""
-
-    query_budget: Optional[int] = None
-    """Optional cap on total oracle queries."""
+    """Wall-clock budget for the whole pipeline, seconds (contest: 2700).
+    Its split between the steps is
+    :class:`~repro.robustness.deadline.DeadlineManager`'s; a query budget
+    lives on the oracle (``NetlistOracle(query_budget=...)``)."""
 
     # -- step 5: optimization -------------------------------------------------------
     enable_optimization: bool = True
     optimize_iterations: int = 4
-    collapse_support: int = 14
 
     # -- execution layer ----------------------------------------------------------
     robustness: RobustnessConfig = field(default_factory=RobustnessConfig)
@@ -341,18 +243,12 @@ class RegressorConfig:
         if self.exhaustive_threshold > 20:
             raise ValueError(
                 "exhaustive threshold above 20 is intractable here")
-        if self.preprocessing_fraction + self.optimize_fraction >= 1.0:
-            raise ValueError("budget fractions leave nothing for the tree")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.kernel_backend not in ("auto", "numpy", "numba"):
             raise ValueError(
                 "kernel_backend must be 'auto', 'numpy' or 'numba', got "
                 f"{self.kernel_backend!r}")
-        if self.bank_max_rows <= 0:
-            raise ValueError("bank_max_rows must be positive")
-        if not 0.0 < self.bank_fresh_fraction <= 1.0:
-            raise ValueError("bank_fresh_fraction must be in (0, 1]")
         self.robustness.validate()
         self.observability.validate()
 

@@ -60,6 +60,11 @@ BLOCK_ROWS_BOUNDARIES = (1, 4, 16, 64, 256, 1024, 4096, 16384)
 """Fixed histogram buckets for ``fbdt.block_rows`` — per-node block
 sizes entering each fused-query site (profiler-only)."""
 
+BANK_FRESH_FRACTION = 0.25
+"""Floor on the freshly sampled share of each bank-assisted leaf probe,
+so stale bank rows can never fully starve a leaf test of new
+evidence."""
+
 
 @dataclass
 class FbdtStats:
@@ -455,7 +460,7 @@ def _grow(oracle: Oracle, output: int, support_set: set,
             banked_out = np.empty((0, num_pos), dtype=np.uint8)
             if bank is not None:
                 fresh_min = max(1, int(np.ceil(
-                    config.leaf_samples * config.bank_fresh_fraction)))
+                    config.leaf_samples * BANK_FRESH_FRACTION)))
                 _, banked_out = bank.take(
                     node.cube, config.leaf_samples - fresh_min)
                 want = config.leaf_samples - banked_out.shape[0]
@@ -500,11 +505,6 @@ def _grow(oracle: Oracle, output: int, support_set: set,
                 obs.count("fbdt.leaves", kind=kind)
                 obs.observe("fbdt.leaf_depth", len(node.cube),
                             LEAF_DEPTH_BOUNDARIES)
-                continue
-            if config.max_depth is not None \
-                    and len(node.cube) >= config.max_depth:
-                _majority_leaf(node.cube, node.ratio, onset, offset,
-                               stats)
                 continue
             survivors.append(node)
 

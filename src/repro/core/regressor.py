@@ -45,6 +45,10 @@ from repro.robustness.verify import (VerificationReport, VerifyPolicy,
                                      verify_and_repair)
 from repro.synth.scripts import optimize_netlist
 
+PROPAGATION_TRIES = 24
+"""Random context assignments tried when searching the propagation
+cube of a buried comparator (Sec. IV-B1)."""
+
 
 @dataclass
 class OutputReport:
@@ -201,11 +205,7 @@ class LogicRegressor:
         # than erroring deep inside a hot loop.
         kernel_backend = bitops.set_backend(cfg.kernel_backend)
         rng = np.random.default_rng(cfg.seed)
-        deadlines = DeadlineManager(
-            cfg.time_limit,
-            preprocessing_fraction=cfg.preprocessing_fraction,
-            optimize_fraction=cfg.optimize_fraction,
-            hard_slack=rob.hard_slack)
+        deadlines = DeadlineManager(cfg.time_limit)
         start_queries = oracle.query_count
         # The execution layer talks to the oracle through the retry
         # wrapper; budget metering stays on the caller's oracle.  The
@@ -216,9 +216,7 @@ class LogicRegressor:
         base_exec: Oracle = oracle
         if rob.audit_rate > 0.0:
             audited = AuditingOracle(
-                oracle, AuditPolicy(rate=rob.audit_rate,
-                                    votes=rob.audit_votes,
-                                    seed=cfg.seed))
+                oracle, AuditPolicy(rate=rob.audit_rate, seed=cfg.seed))
             base_exec = audited
         inner_exec: Oracle = base_exec
         if rob.max_retries > 0:
@@ -226,8 +224,7 @@ class LogicRegressor:
                 base_exec,
                 policy=RetryPolicy(max_retries=rob.max_retries,
                                    base_delay=rob.retry_base_delay,
-                                   max_delay=rob.retry_max_delay,
-                                   jitter=rob.retry_jitter),
+                                   max_delay=rob.retry_max_delay),
                 seed=cfg.seed)
         # The sample bank sits above the retry wrapper: rows it serves
         # from memory never reach (or bill) the underlying oracle.
@@ -235,8 +232,7 @@ class LogicRegressor:
         exec_oracle: Oracle = inner_exec
         bank_prefilled = 0
         if cfg.enable_sample_bank:
-            bank = SampleBank(oracle.num_pis, oracle.num_pos,
-                              max_rows=cfg.bank_max_rows)
+            bank = SampleBank(oracle.num_pis, oracle.num_pos)
             if bank_prefill is not None:
                 bank_prefilled = self._prefill_bank(bank, bank_prefill,
                                                     oracle, st)
@@ -265,10 +261,8 @@ class LogicRegressor:
         po_grouping = Grouping(buses=[], scalars=list(range(oracle.num_pos)))
         if cfg.enable_preprocessing:
             with obs_ctx.stage("grouping"):
-                pi_grouping = group_names(oracle.pi_names,
-                                          min_width=cfg.min_bus_width)
-                po_grouping = group_names(oracle.po_names,
-                                          min_width=cfg.min_bus_width)
+                pi_grouping = group_names(oracle.pi_names)
+                po_grouping = group_names(oracle.po_names)
             st.emit("grouping", pi_buses=len(pi_grouping.buses),
                     po_buses=len(po_grouping.buses))
 
@@ -378,8 +372,6 @@ class LogicRegressor:
                             reason="budget-exhausted", detail=str(exc))
                     continue
                 except Exception as exc:  # noqa: BLE001 - isolation
-                    if not rob.isolate_outputs:
-                        raise
                     covers[j] = (self._fallback_cover(
                         inner_exec, j, derive_output_rng(cfg.seed, j)),
                         None, None)
@@ -449,8 +441,7 @@ class LogicRegressor:
                 engine = learn_outputs(inner_exec, tasks, cfg,
                                        jobs=cfg.jobs, bank=bank,
                                        slice_provider=slice_provider,
-                                       on_result=on_result,
-                                       shield=rob.isolate_outputs)
+                                       on_result=on_result)
                 extra_queries = engine.extra_queries
                 engine_mode = engine.mode
                 supervisor_stats = engine.supervisor
@@ -478,10 +469,6 @@ class LogicRegressor:
                         continue
                     error = res.error if res is not None else "no result"
                     error_type = res.error_type if res is not None else ""
-                    if error_type != "QueryBudgetExceeded" \
-                            and not rob.isolate_outputs:
-                        raise RuntimeError(
-                            f"output {name} failed in worker: {error}")
                     covers[j] = (self._fallback_cover(
                         inner_exec, j, derive_output_rng(cfg.seed, j)),
                         None, None)
@@ -522,8 +509,6 @@ class LogicRegressor:
                             final_size=opt_report.final_size,
                             scripts=opt_report.scripts_run)
                 except Exception as exc:  # noqa: BLE001 - isolation
-                    if not rob.isolate_outputs:
-                        raise
                     st.emit("degraded", subject="optimization",
                             reason="optimize-failed",
                             detail=type(exc).__name__)
@@ -537,15 +522,7 @@ class LogicRegressor:
                 # any --jobs value.
                 learn_billed = (oracle.query_count - start_queries
                                 + extra_queries)
-                policy = VerifyPolicy(
-                    target=rob.verify_target,
-                    confidence=rob.verify_confidence,
-                    samples=rob.verify_samples,
-                    rows_fraction=rob.verify_rows_fraction,
-                    min_samples=rob.verify_min_samples,
-                    max_repair_rounds=rob.max_repair_rounds,
-                    repair_rows_fraction=rob.repair_rows_fraction,
-                    seed=cfg.seed)
+                policy = VerifyPolicy(seed=cfg.seed)
                 try:
                     # Against the *billing* oracle directly — the bank
                     # and the retry cache hold exactly the rows whose
@@ -555,8 +532,6 @@ class LogicRegressor:
                         learn_billed_rows=learn_billed,
                         supports=supports, config=cfg)
                 except Exception as exc:  # noqa: BLE001 - isolation
-                    if not rob.isolate_outputs:
-                        raise
                     st.emit("degraded", subject="verification",
                             reason="verify-error",
                             detail=f"{type(exc).__name__}: {exc}")
@@ -625,8 +600,7 @@ class LogicRegressor:
         """Run one pipeline step inside an isolation boundary.
 
         A failing step degrades to ``default`` (with a trace event)
-        instead of killing the run; ``QueryBudgetExceeded`` is always
-        absorbed, other exceptions only under ``isolate_outputs``.
+        instead of killing the run.
         """
         try:
             return fn()
@@ -635,8 +609,6 @@ class LogicRegressor:
                     detail=str(exc))
             return default
         except Exception as exc:  # noqa: BLE001 - isolation boundary
-            if not self.config.robustness.isolate_outputs:
-                raise
             st.emit("degraded", subject=label, reason="failed",
                     detail=f"{type(exc).__name__}: {exc}")
             return default
@@ -771,7 +743,7 @@ class LogicRegressor:
             match = match_comparator(
                 oracle, pi_grouping, j, rng,
                 num_samples=self.config.template_samples,
-                propagation_tries=self.config.propagation_tries)
+                propagation_tries=PROPAGATION_TRIES)
             if match is None:
                 continue
             out[j] = match

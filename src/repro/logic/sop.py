@@ -117,17 +117,6 @@ class Sop:
             result |= cube.evaluate(patterns)
         return result
 
-    def evaluate_words(self, words: np.ndarray,
-                       num_rows: int) -> np.ndarray:
-        """Packed evaluation over an already-packed ``(V, W)`` array."""
-        from repro.logic import bitops
-
-        if not self.cubes:
-            return np.zeros(num_rows, dtype=bool)
-        return bitops.sop_eval_words(
-            words, num_rows,
-            [list(cube.literals()) for cube in self.cubes])
-
     def evaluate_one(self, assignment: Sequence[int]) -> int:
         """Evaluate a single full assignment (sequence indexed by variable)."""
         arr = np.asarray(assignment, dtype=np.uint8).reshape(1, -1)

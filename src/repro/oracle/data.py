@@ -9,13 +9,12 @@ of queries and rebuilds the datapath exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.network.builder import linear_combination
 from repro.network.netlist import Netlist
-from repro.oracle.netlist_oracle import NetlistOracle
 
 
 @dataclass(frozen=True)
@@ -62,17 +61,3 @@ def build_data_netlist(seed: int, num_in_buses: int = 2,
         specs.append(DataSpec(out_name, out_width, tuple(in_names),
                               coeffs, constant))
     return net, specs
-
-
-def make_data_oracle(seed: int, num_in_buses: int = 2, in_width: int = 8,
-                     out_width: int = 10, num_out_buses: int = 1,
-                     max_coefficient: int = 7, max_constant: int = 31,
-                     extra_pis: int = 0,
-                     query_budget: Optional[int] = None
-                     ) -> Tuple[NetlistOracle, List[DataSpec]]:
-    net, specs = build_data_netlist(
-        seed, num_in_buses=num_in_buses, in_width=in_width,
-        out_width=out_width, num_out_buses=num_out_buses,
-        max_coefficient=max_coefficient, max_constant=max_constant,
-        extra_pis=extra_pis)
-    return NetlistOracle(net, query_budget=query_budget), specs

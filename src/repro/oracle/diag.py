@@ -9,13 +9,12 @@ are the cases the template-matching preprocessing solves outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.network.builder import comparator, comparator_const, mux
 from repro.network.netlist import Netlist
-from repro.oracle.netlist_oracle import NetlistOracle
 from repro.oracle.random_logic import random_cone
 
 PREDICATES = ("==", "!=", "<", "<=", ">", ">=")
@@ -79,15 +78,3 @@ def build_diag_netlist(num_pos: int, seed: int,
         specs.append(DiagSpec(po_name, predicate, left, right, constant,
                               buried))
     return net, specs
-
-
-def make_diag_oracle(num_pos: int, seed: int, bus_width: int = 8,
-                     num_buses: int = 2, extra_pis: int = 4,
-                     buried_fraction: float = 0.0,
-                     query_budget: Optional[int] = None
-                     ) -> Tuple[NetlistOracle, List[DiagSpec]]:
-    net, specs = build_diag_netlist(num_pos, seed, bus_width=bus_width,
-                                    num_buses=num_buses,
-                                    extra_pis=extra_pis,
-                                    buried_fraction=buried_fraction)
-    return NetlistOracle(net, query_budget=query_budget), specs

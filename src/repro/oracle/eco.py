@@ -8,12 +8,9 @@ the regime where the decision-tree procedure shines (Table II).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from repro.network.netlist import Netlist
-from repro.oracle.netlist_oracle import NetlistOracle
 from repro.oracle.random_logic import random_cone, random_support
 
 
@@ -33,17 +30,6 @@ def build_eco_netlist(num_pis: int, num_pos: int, seed: int,
                            num_gates=gates_per_output)
         net.add_po(f"po_{k}", root)
     return net
-
-
-def make_eco_oracle(num_pis: int, num_pos: int, seed: int,
-                    support_low: int = 3, support_high: int = 10,
-                    gates_per_output: int = 12,
-                    query_budget: Optional[int] = None) -> NetlistOracle:
-    net = build_eco_netlist(num_pis, num_pos, seed,
-                            support_low=support_low,
-                            support_high=support_high,
-                            gates_per_output=gates_per_output)
-    return NetlistOracle(net, query_budget=query_budget)
 
 
 def _eco_pi_name(rng: np.random.Generator, index: int) -> str:

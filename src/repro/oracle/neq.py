@@ -9,12 +9,9 @@ only sub-99.99% accuracies are NEQ).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.network.netlist import Netlist
-from repro.oracle.netlist_oracle import NetlistOracle
 from repro.oracle.random_logic import (mutated_copy, random_cone,
                                        random_support)
 
@@ -64,16 +61,3 @@ def _non_equivalent_mutation(cone: Netlist, rng: np.random.Generator,
         if (simulate(revised, probe) != golden).any():
             return revised
     raise RuntimeError("could not produce a non-equivalent mutation")
-
-
-def make_neq_oracle(num_pis: int, num_pos: int, seed: int,
-                    support_low: int = 8, support_high: int = 18,
-                    gates_per_cone: int = 20, mutations: int = 2,
-                    xor_heavy: bool = False,
-                    query_budget: Optional[int] = None) -> NetlistOracle:
-    net = build_neq_netlist(num_pis, num_pos, seed,
-                            support_low=support_low,
-                            support_high=support_high,
-                            gates_per_cone=gates_per_cone,
-                            mutations=mutations, xor_heavy=xor_heavy)
-    return NetlistOracle(net, query_budget=query_budget)

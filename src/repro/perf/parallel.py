@@ -3,8 +3,8 @@
 The problem decomposes per output (Sec. IV), so independent outputs can
 be learned concurrently.  :func:`learn_outputs` runs a list of
 :class:`OutputTask` either in-process (``jobs=1``, the paper's
-single-threaded contract) or across ``concurrent.futures`` worker
-processes, each holding its own *oracle shard* — a pickled copy of the
+single-threaded contract) or across supervised worker processes
+(:mod:`repro.robustness.supervisor`), each holding its own *oracle shard* — a pickled copy of the
 execution-layer oracle chain — and a private fork of the sample bank.
 
 Determinism is by construction, not by luck:
@@ -103,13 +103,11 @@ class EngineReport:
 
 def run_output_task(oracle: Oracle, task: OutputTask,
                     config: RegressorConfig,
-                    bank: Optional[SampleBank],
-                    shield: bool = True) -> OutputResult:
+                    bank: Optional[SampleBank]) -> OutputResult:
     """Learn one output deterministically against ``oracle``.
 
-    ``shield=False`` restores fail-fast semantics for generic exceptions
-    (``isolate_outputs=False`` debugging); ``QueryBudgetExceeded`` is
-    always absorbed into a result, matching the sequential pipeline.
+    Failures are absorbed into the result (``error``/``error_type``),
+    matching the sequential pipeline's per-output isolation.
     """
     rng = derive_output_rng(config.seed, task.index)
     local_bank = bank.fork() if bank is not None else None
@@ -143,8 +141,6 @@ def run_output_task(oracle: Oracle, task: OutputTask,
                 queries=meter.query_count - start_rows,
                 bank=local_bank.stats if local_bank is not None else None)
         except Exception as exc:  # noqa: BLE001 - isolation boundary
-            if not shield:
-                raise
             return OutputResult(
                 task.index, error=f"{type(exc).__name__}: {exc}",
                 error_type=type(exc).__name__,
@@ -196,32 +192,14 @@ def run_output_task(oracle: Oracle, task: OutputTask,
     return res
 
 
-# -- worker-process plumbing ---------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(payload: bytes) -> None:
-    oracle, config, bank = pickle.loads(payload)
-    _WORKER_STATE["oracle"] = oracle
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["bank"] = bank
-
-
-def _worker_run(task: OutputTask) -> OutputResult:
-    return run_output_task(_WORKER_STATE["oracle"], task,
-                           _WORKER_STATE["config"],
-                           _WORKER_STATE["bank"], shield=True)
-
-
 def learn_outputs(oracle: Oracle, tasks: List[OutputTask],
                   config: RegressorConfig, *, jobs: int,
                   bank: Optional[SampleBank] = None,
                   slice_provider: Optional[
                       Callable[[int, int], Tuple[float, float]]] = None,
                   on_result: Optional[
-                      Callable[[OutputResult], None]] = None,
-                  shield: bool = True) -> EngineReport:
+                      Callable[[OutputResult], None]] = None
+                  ) -> EngineReport:
     """Learn every task's output; in-process or across worker shards.
 
     ``slice_provider(idx, total)`` (sequential mode only) recomputes a
@@ -235,7 +213,7 @@ def learn_outputs(oracle: Oracle, tasks: List[OutputTask],
     report = EngineReport()
     if jobs <= 1 or len(tasks) <= 1:
         _run_sequential(oracle, tasks, config, bank, slice_provider,
-                        on_result, shield, report)
+                        on_result, report)
         _fold_back_obs(report, tasks)
         return report
     try:
@@ -245,7 +223,7 @@ def learn_outputs(oracle: Oracle, tasks: List[OutputTask],
                        f"({type(exc).__name__}); fell back to "
                        "sequential learning")
         _run_sequential(oracle, tasks, config, bank, slice_provider,
-                        on_result, shield, report)
+                        on_result, report)
         _fold_back_obs(report, tasks)
         return report
     # Imported lazily: the supervisor module needs OutputTask/Result
@@ -253,15 +231,10 @@ def learn_outputs(oracle: Oracle, tasks: List[OutputTask],
     from repro.robustness.supervisor import (SupervisorPolicy,
                                              run_supervised)
 
-    rob = getattr(config, "robustness", None)
-    policy = SupervisorPolicy(
-        heartbeat_interval=getattr(rob, "heartbeat_interval", 0.25),
-        heartbeat_timeout=getattr(rob, "heartbeat_timeout", 15.0),
-        task_wall_grace=getattr(rob, "task_wall_grace", 5.0),
-        max_redispatches=getattr(rob, "max_redispatches", 1),
-        redispatch_budget_factor=getattr(
-            rob, "redispatch_budget_factor", 0.5),
-        fault_plan=getattr(rob, "worker_fault_plan", None))
+    rob = config.robustness
+    policy = SupervisorPolicy(heartbeat_interval=rob.heartbeat_interval,
+                              heartbeat_timeout=rob.heartbeat_timeout,
+                              fault_plan=rob.worker_fault_plan)
 
     report.mode = f"parallel x{jobs}"
     try:
@@ -284,7 +257,7 @@ def learn_outputs(oracle: Oracle, tasks: List[OutputTask],
         report.extra_queries = 0
         missing = [t for t in tasks if t.index not in report.results]
         _run_sequential(oracle, missing, config, bank, slice_provider,
-                        on_result, shield, report)
+                        on_result, report)
     if bank is not None:
         for res in report.results.values():
             if res.bank is not None:
@@ -314,14 +287,14 @@ def _fold_back_obs(report: EngineReport, tasks: List[OutputTask]) -> None:
 def _run_sequential(oracle: Oracle, tasks: List[OutputTask],
                     config: RegressorConfig,
                     bank: Optional[SampleBank],
-                    slice_provider, on_result, shield: bool,
+                    slice_provider, on_result,
                     report: EngineReport) -> None:
     total = len(tasks)
     for idx, task in enumerate(tasks):
         if slice_provider is not None:
             task.soft_seconds, task.hard_seconds = \
                 slice_provider(idx, total)
-        res = run_output_task(oracle, task, config, bank, shield=shield)
+        res = run_output_task(oracle, task, config, bank)
         res.queries = 0  # billed directly to the caller's oracle
         report.results[res.index] = res
         if bank is not None and res.bank is not None:

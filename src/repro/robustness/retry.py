@@ -114,10 +114,6 @@ class RetryingOracle(Oracle):
         return self._policy
 
     @property
-    def cache_frozen(self) -> bool:
-        return self._cache_frozen
-
-    @property
     def cache_entries(self) -> int:
         """Memoized assignments currently resident."""
         return 0 if self._cache is None else len(self._cache)

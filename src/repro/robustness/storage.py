@@ -108,9 +108,6 @@ class StorageCounters:
                    for k, n in per.items()
                    if kind is None or k == kind)
 
-    def drop_total(self) -> int:
-        return sum(self.drops.values())
-
     def to_json(self) -> Dict[str, Any]:
         return {
             "ops": dict(sorted(self.ops.items())),

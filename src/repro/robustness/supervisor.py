@@ -143,7 +143,7 @@ def _supervised_worker(worker_id: int, payload: bytes, task_q,
         beater = threading.Thread(target=beat, daemon=True)
         beater.start()
         try:
-            res = run_output_task(oracle, task, config, bank, shield=True)
+            res = run_output_task(oracle, task, config, bank)
         except BaseException as exc:  # noqa: BLE001 - keep worker alive
             res = OutputResult(
                 task.index, error=f"{type(exc).__name__}: {exc}",

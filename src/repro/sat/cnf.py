@@ -1,11 +1,10 @@
-"""CNF containers and Tseitin encoding of AIGs and netlists."""
+"""CNF containers and Tseitin encoding of AIGs."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.aig import Aig, lit_compl, lit_node
-from repro.network.netlist import GateOp, Netlist
 
 
 class Cnf:
@@ -70,10 +69,3 @@ def tseitin_aig(aig: Aig, cnf: Optional[Cnf] = None,
         v = var_of_node(lit_node(po))
         po_literals.append(-v if lit_compl(po) else v)
     return cnf, list(pi_vars), po_literals
-
-
-def tseitin_netlist(netlist: Netlist, cnf: Optional[Cnf] = None,
-                    pi_vars: Optional[Sequence[int]] = None
-                    ) -> Tuple[Cnf, List[int], List[int]]:
-    """Encode a gate netlist via its AIG strash (shares the AIG rules)."""
-    return tseitin_aig(Aig.from_netlist(netlist), cnf, pi_vars)

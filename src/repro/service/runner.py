@@ -113,8 +113,6 @@ def _build_config(spec: JobSpec, spool: Spool):
         config = fast_config(time_limit=spec.effective_time_limit,
                              seed=spec.seed)
         config.robustness = robustness
-        # Keep the fast profile's tighter verify caps but our journal.
-        config.robustness.verify_max_rows = 2048
         return config
     return RegressorConfig(time_limit=spec.effective_time_limit,
                            seed=spec.seed, jobs=1,

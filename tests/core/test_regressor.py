@@ -34,9 +34,6 @@ class TestConfig:
             RegressorConfig(sampling_biases=(0.0,)).validate()
         with pytest.raises(ValueError):
             RegressorConfig(exhaustive_threshold=25).validate()
-        with pytest.raises(ValueError):
-            RegressorConfig(preprocessing_fraction=0.9,
-                            optimize_fraction=0.2).validate()
 
     def test_fast_config_is_valid(self):
         fast_config().validate()

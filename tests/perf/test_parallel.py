@@ -3,7 +3,6 @@
 import io
 
 import numpy as np
-import pytest
 
 from repro.core.config import RegressorConfig, RobustnessConfig
 from repro.core.regressor import LogicRegressor
@@ -122,24 +121,10 @@ class TestEngine:
         cfg = small_config()
         oracle = OneBadColumn(self.oracle())
         tasks = [OutputTask(0, list(range(12)))]
-        report = learn_outputs(oracle, tasks, cfg, jobs=1, shield=True)
+        report = learn_outputs(oracle, tasks, cfg, jobs=1)
         res = report.results[0]
         assert res.cover is None
         assert res.error_type == "RuntimeError"
-
-    def test_shield_off_reraises(self):
-        class Broken(Oracle):
-            def __init__(self, inner):
-                super().__init__(inner.pi_names, inner.po_names)
-
-            def _evaluate(self, patterns):
-                raise RuntimeError("boom")
-
-        cfg = small_config()
-        tasks = [OutputTask(0, list(range(12)))]
-        with pytest.raises(RuntimeError):
-            learn_outputs(Broken(self.oracle()), tasks, cfg, jobs=1,
-                          shield=False)
 
     def test_on_result_sees_every_output(self):
         cfg = small_config()

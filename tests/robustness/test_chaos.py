@@ -110,16 +110,6 @@ class TestIsolation:
         assert result.methods_used().get("budget-exhausted", 0) >= 1
         assert result.queries <= 3000
 
-    def test_isolation_can_be_disabled_for_debugging(self):
-        golden = build_eco_netlist(12, 2, seed=13, support_low=3,
-                                   support_high=5)
-        oracle = DyingOracle(NetlistOracle(golden), die_after=0)
-        cfg = chaos_config(
-            robustness=RobustnessConfig(max_retries=0,
-                                        isolate_outputs=False))
-        with pytest.raises(TransientOracleFault):
-            LogicRegressor(cfg).learn(oracle)
-
     def test_partial_cover_survives_midtree_budget_death(self):
         """Satellite: QueryBudgetExceeded mid-FBDT yields the partial
         cover learned so far instead of propagating."""
