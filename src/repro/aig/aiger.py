@@ -8,7 +8,7 @@ combinational subset is supported — latches are rejected.
 
 from __future__ import annotations
 
-from typing import Dict, List, TextIO
+from typing import Dict, TextIO
 
 from repro.aig.aig import Aig, lit_compl, lit_node
 

@@ -9,7 +9,7 @@ over ``2^k`` bits in leaf order), which is what the rewrite pass resynthesizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.aig.aig import Aig, lit_compl, lit_node
 

@@ -9,7 +9,7 @@ significant bit (Fig. 2's convention: ``(a2,a1,a0) = (1,1,0)`` encodes 6).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -16,11 +16,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.compression import DELEGATE_NAME, CompressedOracle
+from repro.core.compression import CompressedOracle
 from repro.core.config import RegressorConfig
 from repro.core.fbdt import (FbdtStats, LearnedCover, cleanup_cover,
                              learn_output)
-from repro.core.grouping import BusGroup, Grouping, group_names
+from repro.core.grouping import Grouping, group_names
 from repro.core.sampling import random_patterns
 from repro.core.support import identify_supports
 from repro.core.templates.comparator import ComparatorMatch, match_comparator

@@ -9,7 +9,7 @@ one-sided test), which is exactly the semantics the paper works with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -70,11 +70,14 @@ class Cube:
     def from_masks(cls, care: int, value: int) -> "Cube":
         """Inverse of :meth:`masks`."""
         lits: Dict[int, int] = {}
-        while care:
-            low = care & -care
+        rest = care
+        while rest:
+            low = rest & -rest
             lits[low.bit_length() - 1] = 1 if value & low else 0
-            care ^= low
-        return cls(lits)
+            rest ^= low
+        cube = cls(lits)
+        cube._masks = (care, value & care)
+        return cube
 
     # -- basic queries -----------------------------------------------------
 

@@ -10,7 +10,7 @@ circuit builder and the refactor/collapse passes actually instantiate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.logic.cube import Cube
 from repro.logic.sop import Sop

@@ -9,7 +9,6 @@ functions and for the "conquering small functions" trick.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.cube import Cube

@@ -15,7 +15,7 @@ provided for larger k.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 _FACT_CACHE: Dict[Tuple[int, int], "NpnTransform"] = {}
 

@@ -10,7 +10,7 @@ distance-1 merging.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 

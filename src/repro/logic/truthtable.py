@@ -5,12 +5,15 @@ with variable 0 as the least-significant bit.  Tables are stored as numpy
 ``uint64`` words, so all Boolean operations, cofactors and support checks are
 word-parallel.  Intended for supports up to ~22 variables — exactly the
 regime of the paper's "conquering small functions" trick (threshold 18) and
-of cut/cone resynthesis in the optimization passes.
+of cut/cone resynthesis in the optimization passes.  :meth:`TruthTable.isop`
+converts the table once to a ``2^n``-bit Python int and recurses on those.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from functools import lru_cache
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -258,77 +261,96 @@ class TruthTable:
     def isop(self, max_cubes=None) -> Sop:
         """Irredundant SOP via the Minato-Morreale procedure.
 
-        ``max_cubes`` aborts with :class:`IsopOverflow` once the cover
-        exceeds the budget — callers that only want *small* covers (the
-        refactor pass) use this to bail out of exponential functions.
+        ``max_cubes`` aborts with :class:`IsopOverflow` once the budget is
+        exceeded; the count sums the cubes of every sub-cover the recursion
+        computes (memo hits are free), so it bounds the work as well as the
+        cover.  Callers that only want *small* covers (the refactor pass
+        with 96, collapse with 512) use this to bail out of exponential
+        functions.
         """
-        worker = _IsopWorker(max_cubes)
-        cubes = worker.run(self, self, list(range(self.num_vars)))
-        return Sop(cubes, self.num_vars)
+        n = self.num_vars
+        table = int.from_bytes(
+            self.words.astype("<u8", copy=False).tobytes(), "little")
+        cubes, _ = _IsopBuilder(n, max_cubes).run(table, table)
+        return Sop([Cube.from_masks(care, value) for care, value in cubes], n)
 
 
 class IsopOverflow(RuntimeError):
     """The ISOP cover exceeded the requested cube budget."""
 
 
-class _IsopWorker:
-    """Memoized Minato-Morreale recursion with an optional cube budget."""
+@lru_cache(maxsize=None)
+def _split_masks(num_vars: int
+                 ) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+    """The all-ones table of ``num_vars`` variables and, per variable
+    ``v``, ``(shift, pos, neg)``: ``pos`` has bit ``m`` set iff bit ``v`` of
+    ``m`` is 1, ``neg`` is its complement and ``shift`` is ``2^v``."""
+    full = (1 << (1 << num_vars)) - 1
+    per_var = []
+    for var in range(num_vars):
+        shift = 1 << var
+        # One period is ``shift`` zeros then ``shift`` ones; dividing the
+        # all-ones table by a period of ones repeats a 1 every period.
+        pos = (((1 << shift) - 1) << shift) * (full // ((1 << 2 * shift) - 1))
+        per_var.append((shift, pos, full ^ pos))
+    return full, tuple(per_var)
 
-    def __init__(self, max_cubes: Optional[int]):
+
+class _IsopBuilder:
+    """Memoized Minato-Morreale recursion on Python-int truth tables.
+
+    Tables are ``2^n``-bit ints over the whole universe (bit ``m`` is the
+    value at minterm ``m``), so cofactors and the dependence test are a
+    mask and a shift.  Each call returns its cubes as ``(care, value)``
+    masks (:meth:`Cube.masks`) together with the table they cover, so no
+    sub-cover is ever re-tabulated.
+    """
+
+    def __init__(self, num_vars: int, max_cubes: Optional[int]):
+        self.full, self.per_var = _split_masks(num_vars)
         self.max_cubes = max_cubes
         self.produced = 0
-        self._cache: dict = {}
+        self._memo: Dict[Tuple[int, int], Tuple[list, int]] = {}
 
-    def run(self, lower: "TruthTable", upper: "TruthTable",
-            variables: List[int]) -> List[Cube]:
-        key = (lower.words.tobytes(), upper.words.tobytes())
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute(lower, upper, variables)
-        self._cache[key] = result
+    def run(self, lower: int, upper: int) -> Tuple[list, int]:
+        key = (lower, upper)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._memo[key] = self._compute(lower, upper)
         return result
 
-    def _compute(self, lower: "TruthTable", upper: "TruthTable",
-                 variables: List[int]) -> List[Cube]:
-        if lower.is_zero():
-            return []
-        if upper.is_one():
+    def _compute(self, lower: int, upper: int) -> Tuple[list, int]:
+        if not lower:
+            return [], 0
+        if upper == self.full:
             self._account(1)
-            return [Cube.empty()]
-        split = None
-        for var in variables:
-            if lower.depends_on(var) or upper.depends_on(var):
-                split = var
+            return [(0, 0)], upper
+        # Split on the lowest variable either bound depends on; one exists
+        # because lower <= upper, lower != 0 and upper != 1.
+        for var, (shift, pos, neg) in enumerate(self.per_var):
+            if ((lower ^ (lower >> shift)) | (upper ^ (upper >> shift))) & neg:
                 break
-        if split is None:
-            # Constant interval: both bounds are constant here.
-            self._account(1)
-            return [Cube.empty()]
-        rest = [v for v in variables if v != split]
-        l0, l1 = lower.cofactor(split, 0), lower.cofactor(split, 1)
-        u0, u1 = upper.cofactor(split, 0), upper.cofactor(split, 1)
+        l0 = lower & neg
+        l0 |= l0 << shift
+        l1 = lower & pos
+        l1 |= l1 >> shift
+        u0 = upper & neg
+        u0 |= u0 << shift
+        u1 = upper & pos
+        u1 |= u1 >> shift
         # Cubes that must carry the negative / positive literal.
-        c0 = self.run(l0 & ~u1, u0, rest)
-        c1 = self.run(l1 & ~u0, u1, rest)
-        tt0 = _cover_table(c0, lower.num_vars)
-        tt1 = _cover_table(c1, lower.num_vars)
+        c0, t0 = self.run(l0 & ~u1, u0)
+        c1, t1 = self.run(l1 & ~u0, u1)
         # Remaining onset coverable without the split literal.
-        l_star = (l0 & ~tt0) | (l1 & ~tt1)
-        c_star = self.run(l_star, u0 & u1, rest)
-        out = [c.with_literal(split, 0) for c in c0]
-        out += [c.with_literal(split, 1) for c in c1]
+        c_star, t_star = self.run((l0 & ~t0) | (l1 & ~t1), u0 & u1)
+        bit = 1 << var
+        out = [(care | bit, value) for care, value in c0]
+        out += [(care | bit, value | bit) for care, value in c1]
         out += c_star
         self._account(len(out))
-        return out
+        return out, (t0 & neg) | (t1 & pos) | t_star
 
     def _account(self, n: int) -> None:
         self.produced += n
         if self.max_cubes is not None and self.produced > self.max_cubes:
             raise IsopOverflow(f"ISOP exceeded {self.max_cubes} cubes")
-
-
-def _cover_table(cubes: List[Cube], num_vars: int) -> TruthTable:
-    if not cubes:
-        return TruthTable.zeros(num_vars)
-    return TruthTable.from_sop(Sop(cubes, num_vars))

@@ -8,7 +8,7 @@ when an SOP has been learned (Sec. IV-D).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.logic.cube import Cube
 from repro.logic.sop import Sop

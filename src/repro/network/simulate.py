@@ -9,7 +9,7 @@ volumes (r = 7200 paired flips per input) tractable in Python.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

@@ -15,8 +15,6 @@ the same query always gets the same corrupted answer, matching the
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.oracle.base import Oracle

@@ -8,7 +8,7 @@ difficulty knobs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -17,7 +17,7 @@ both ends of that protocol:
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

@@ -25,7 +25,7 @@ never make the run worse than having no net at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 import numpy as np

@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty
 from typing import Callable, Dict, List, Optional, Tuple
 

@@ -7,7 +7,7 @@ of the sorted operand list — often size.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.aig.aig import Aig, lit_compl, lit_node
 from repro.synth.rebuild import copy_pos, identity_map, map_lit

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.aig.aig import Aig, lit_node, lit_not
-from repro.synth.rebuild import (best_two_level, build_factored, copy_pos,
+from repro.synth.rebuild import (best_two_level, build_factored,
                                  cut_truthtable, identity_map, map_lit)
 
 

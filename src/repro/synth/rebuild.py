@@ -15,7 +15,6 @@ import numpy as np
 from repro.aig.aig import Aig, lit_compl, lit_node, lit_not
 from repro.logic.factor import FactoredNode, factor
 from repro.logic.minimize import quine_mccluskey
-from repro.logic.sop import Sop
 from repro.logic.truthtable import TruthTable
 
 

@@ -13,11 +13,11 @@ confirmed by a bounded SAT miter, then applied by substitution rebuild.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.aig.aig import Aig, lit_compl, lit_node, lit_not
+from repro.aig.aig import Aig, lit_compl, lit_node
 from repro.sat.equivalence import find_counterexample
 from repro.sat.solver import SolveResult
 from repro.synth.rebuild import copy_pos, identity_map, map_lit

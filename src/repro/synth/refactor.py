@@ -9,7 +9,7 @@ direct translation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.aig.aig import Aig, lit_node, lit_not
 from repro.synth.rebuild import (best_two_level, build_factored, copy_pos,

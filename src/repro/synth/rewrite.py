@@ -14,13 +14,13 @@ ABC's rewrite plays with its precomputed 4-input networks, except our
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from repro.aig.aig import Aig, lit_not
 from repro.aig.cuts import Cut, enumerate_cuts
-from repro.logic.npn import invert, npn_canon
+from repro.logic.npn import npn_canon
 from repro.logic.truthtable import TruthTable
 from repro.synth.rebuild import (best_two_level, build_factored, copy_pos,
                                  identity_map, map_lit)

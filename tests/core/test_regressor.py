@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import RegressorConfig, fast_config
 from repro.core.regressor import LogicRegressor
 from repro.eval import accuracy, contest_test_patterns
-from repro.network.builder import comparator, linear_combination
+from repro.network.builder import comparator
 from repro.network.netlist import Netlist
 from repro.oracle.data import build_data_netlist
 from repro.oracle.diag import build_diag_netlist
